@@ -240,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument(
         "--executor",
         default=None,
-        choices=("local", "parallel"),
-        help="run the MPC solver through repro.dist (parallel = worker pool)",
+        choices=("parallel",),
+        help="run the solver's repro.dist kernels on a worker pool",
     )
     solve_p.add_argument(
         "--workers",

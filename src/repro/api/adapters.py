@@ -54,7 +54,6 @@ from repro.utils.trace import Trace
     priority=10,
     rounds_bound="loglog",
     rounds_constant=2.0,
-    supports_executor=True,
     supports_governance=True,
 )
 def _mis_mpc(
@@ -63,7 +62,6 @@ def _mis_mpc(
     config: Optional[MISConfig] = None,
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
-    executor=None,
     governor=None,
 ) -> SolverOutput:
     result = mis_mpc(
@@ -71,7 +69,6 @@ def _mis_mpc(
         seed=seed,
         config=config,
         trace=trace,
-        executor=executor,
         governor=governor,
     )
     # Governed runs report the substrate's metered comm total (it counts
@@ -594,7 +591,6 @@ def _one_plus_eps_central(
     priority=10,
     rounds_bound="loglog",
     rounds_constant=2.0,
-    supports_executor=True,
     supports_governance=True,
 )
 def _weighted_mpc(
@@ -603,7 +599,6 @@ def _weighted_mpc(
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
-    executor=None,
     governor=None,
 ) -> SolverOutput:
     config = config or MatchingConfig()
@@ -613,7 +608,6 @@ def _weighted_mpc(
         seed=seed,
         trace=trace,
         memory_factor=config.memory_factor,
-        executor=executor,
         governor=governor,
     )
     return SolverOutput(

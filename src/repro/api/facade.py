@@ -124,12 +124,13 @@ def solve(
     trace:
         Optional :class:`Trace` receiving the backend's instrumentation.
     executor:
-        ``None`` (default, fully in-process), ``"local"`` (the
-        :mod:`repro.dist` driver over the in-process reference transport
-        — the behavior benchmarks compare against), ``"parallel"`` (a
-        multiprocessing worker pool with shared-memory graph arrays), or
-        a reusable :class:`repro.dist.DistExecutor` instance.  Only
-        MPC-backend entries accept it; outputs and budget audits are
+        Where the solver's :mod:`repro.dist` kernels run: ``None``
+        (default, in process), ``"parallel"`` (a multiprocessing worker
+        pool with shared-memory graph arrays), or a reusable
+        :class:`repro.dist.DistExecutor` instance.  Only entries
+        registered with ``supports_executor`` accept it (the fractional
+        matching family on ``mpc``); any other entry rejects it with an
+        error naming the ones that do.  Outputs and budget audits are
         byte-identical across executors for a fixed seed (see
         DISTRIBUTED.md).
     workers:
@@ -176,16 +177,19 @@ def solve(
             "report's seed field reproduces the run"
         )
     entry = registry.resolve(task, backend)
+    if executor is not None and not entry.supports_executor:
+        accepting = ", ".join(
+            f"{other.task}/{other.backend}"
+            for other in registry.entries()
+            if other.supports_executor
+        )
+        raise ValueError(
+            f"backend {entry.backend!r} for task {entry.task!r} does not "
+            f"support an executor (entries that do: {accepting})"
+        )
     dist_executor, owned = resolve_executor(
         executor, workers, fault_policy=fault_policy, fault_plan=fault_plan
     )
-    if dist_executor is not None and not entry.supports_executor:
-        if owned:
-            dist_executor.close()
-        raise ValueError(
-            f"backend {entry.backend!r} for task {entry.task!r} does not "
-            f"support an executor (only the MPC-backend solvers do)"
-        )
     prepared = _prepare_graph(entry, graph)
     resolved_config = _resolve_config(entry, config, budget, rng)
 
@@ -265,7 +269,6 @@ def solve(
         extras["executor"] = {
             "kind": dist_executor.kind,
             "workers": dist_executor.workers,
-            "distributed": dist_executor.distributed,
             "supervised": recovery_log is not None,
             "phase_walls": dist_executor.phase_walls(),
         }

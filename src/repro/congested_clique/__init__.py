@@ -7,7 +7,6 @@ volume-checked constant-round primitive.
 """
 
 from repro.congested_clique.model import CongestedClique
-from repro.congested_clique.routing import lenzen_route
 from repro.congested_clique.mis import CCMISResult, congested_clique_mis
 from repro.congested_clique.matching import (
     CCMatchingResult,
@@ -16,7 +15,6 @@ from repro.congested_clique.matching import (
 
 __all__ = [
     "CongestedClique",
-    "lenzen_route",
     "CCMISResult",
     "congested_clique_mis",
     "CCMatchingResult",

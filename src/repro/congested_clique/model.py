@@ -9,7 +9,7 @@ The model tracks rounds and validates the per-pair bandwidth constraint.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -41,41 +41,12 @@ class CongestedClique:
         """Rounds consumed so far."""
         return self._rounds
 
-    def _check_player(self, player: int) -> None:
-        if not 0 <= player < self._n:
-            raise ProtocolError(f"player {player} out of range [0, {self._n})")
-
     def charge_rounds(self, count: int, reason: str) -> None:
         """Consume ``count`` rounds for a cited constant-round primitive."""
         if count < 0:
             raise ValueError(f"round count must be >= 0, got {count}")
         self._rounds += count
         maybe_record(self._trace, "cc_rounds", count=count, reason=reason)
-
-    def round_of_messages(
-        self,
-        messages: Iterable[Tuple[int, int, int]],
-        context: str = "point-to-point",
-    ) -> None:
-        """Execute one round given ``(sender, receiver, num_ids)`` triples.
-
-        Validates that no ordered pair carries more than
-        :data:`IDS_PER_MESSAGE` ids and that senders/receivers are valid,
-        then charges one round.
-        """
-        pair_load: Dict[Tuple[int, int], int] = {}
-        for sender, receiver, num_ids in messages:
-            self._check_player(sender)
-            self._check_player(receiver)
-            key = (sender, receiver)
-            pair_load[key] = pair_load.get(key, 0) + num_ids
-            if pair_load[key] > IDS_PER_MESSAGE:
-                raise ProtocolError(
-                    f"pair {key} exceeds per-round bandwidth "
-                    f"({pair_load[key]} ids > {IDS_PER_MESSAGE}) during {context}"
-                )
-        self._rounds += 1
-        maybe_record(self._trace, "cc_rounds", count=1, reason=context)
 
     def round_of_messages_array(
         self,
@@ -84,13 +55,13 @@ class CongestedClique:
         num_ids: int = 1,
         context: str = "point-to-point",
     ) -> None:
-        """Array form of :meth:`round_of_messages`: one round of uniform-size
-        messages given flat endpoint arrays.
+        """Execute one round of uniform-size messages given flat endpoint
+        arrays.
 
-        Every message carries ``num_ids`` ids; per-pair loads are validated
-        with one ``np.unique`` pass over packed ``(sender, receiver)`` keys
-        instead of a per-message dict update.  Accepts and rejects exactly
-        the same rounds as the scalar method.
+        Every message carries ``num_ids`` ids.  Validates that senders and
+        receivers are valid players and that no ordered pair carries more
+        than :data:`IDS_PER_MESSAGE` ids (one ``np.unique`` pass over
+        packed ``(sender, receiver)`` keys), then charges one round.
         """
         senders = np.asarray(senders, dtype=np.int64)
         receivers = np.asarray(receivers, dtype=np.int64)

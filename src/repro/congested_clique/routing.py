@@ -12,8 +12,6 @@ otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
-
 import numpy as np
 
 from repro.congested_clique.model import CongestedClique
@@ -22,61 +20,22 @@ from repro.mpc.errors import ProtocolError
 LENZEN_ROUND_COST = 2
 
 
-def lenzen_route(
-    clique: CongestedClique,
-    messages: Iterable[Tuple[int, int, object]],
-    context: str = "lenzen-routing",
-) -> Dict[int, List[object]]:
-    """Route ``(sender, receiver, payload)`` messages in O(1) rounds.
-
-    Each payload is one ``O(log n)``-bit message (e.g. one edge).  Validates
-    Lenzen's precondition — per-player send and receive volume at most
-    ``n`` — charges :data:`LENZEN_ROUND_COST` rounds, and returns the
-    per-receiver inboxes.
-    """
-    n = clique.num_players
-    send_load: Dict[int, int] = {}
-    receive_load: Dict[int, int] = {}
-    inboxes: Dict[int, List[object]] = {}
-    for sender, receiver, payload in messages:
-        if not 0 <= sender < n or not 0 <= receiver < n:
-            raise ProtocolError(
-                f"message endpoints ({sender}, {receiver}) out of range during {context}"
-            )
-        send_load[sender] = send_load.get(sender, 0) + 1
-        receive_load[receiver] = receive_load.get(receiver, 0) + 1
-        inboxes.setdefault(receiver, []).append(payload)
-    for player, load in send_load.items():
-        if load > n:
-            raise ProtocolError(
-                f"player {player} sends {load} > n={n} messages; "
-                f"Lenzen's precondition violated during {context}"
-            )
-    for player, load in receive_load.items():
-        if load > n:
-            raise ProtocolError(
-                f"player {player} receives {load} > n={n} messages; "
-                f"Lenzen's precondition violated during {context}"
-            )
-    clique.charge_rounds(LENZEN_ROUND_COST, context)
-    return inboxes
-
-
 def lenzen_route_arrays(
     clique: CongestedClique,
     senders: np.ndarray,
     receivers: np.ndarray,
     context: str = "lenzen-routing",
 ) -> None:
-    """Array form of :func:`lenzen_route` for flat endpoint-array messages.
+    """Route one batch of messages given as flat endpoint arrays.
 
-    Each message is one routed edge, represented by its slot in the
-    ``senders``/``receivers`` arrays rather than a Python tuple.  Send and
-    receive volumes are validated with one ``bincount`` pass each — the
-    accept/reject behavior is identical to the dict-based reference (the
-    property suite checks this), and :data:`LENZEN_ROUND_COST` rounds are
-    charged.  No inboxes are materialized: vectorized callers keep the
-    payload in their own arrays, which is the point of this variant.
+    Each message is one ``O(log n)``-bit payload (e.g. one routed edge),
+    represented by its slot in the ``senders``/``receivers`` arrays.
+    Lenzen's precondition — per-player send and receive volume at most
+    ``n`` — is validated with one ``bincount`` pass each (the property
+    suite checks the accept/reject behavior against a dict-based
+    reference), then :data:`LENZEN_ROUND_COST` rounds are charged.  No
+    inboxes are materialized: callers keep the payload in their own
+    arrays.
     """
     n = clique.num_players
     senders = np.asarray(senders, dtype=np.int64)

@@ -20,6 +20,12 @@ The algorithm simulates Central-Rand in phases.  While the degree bound
 Once ``d`` reaches the floor the remaining iterations of Central-Rand are
 simulated directly, one round each (Line (4)).
 
+The machine-local work of Lines (e) and Line (4) has exactly one
+implementation: the ``matching.*`` kernels of :mod:`repro.dist.kernels`,
+always driven through a :class:`~repro.dist.executor.DistExecutor`.  The
+driver here keeps everything else — owner draws, cluster accounting,
+Lines (g)-(j) — so the executor only decides where the kernels run.
+
 Hot-path layout: the graph's edge list is materialized **once** into flat
 NumPy arrays (via :class:`~repro.graph.csr.CSRGraph`) and every per-phase
 edge scan — the frozen-load recomputation ``y_old``, the true-load
@@ -50,6 +56,8 @@ import numpy as np
 from repro.core.config import MatchingConfig
 from repro.core.fractional import FractionalMatching
 from repro.core.thresholds import ThresholdOracle
+from repro.dist.executor import DistExecutor
+from repro.dist.transport import LocalTransport
 from repro.govern.governor import governed_broadcast
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Edge, Graph
@@ -157,11 +165,14 @@ def mpc_fractional_matching(
         :func:`repro.core.central.run_freezing_process` to couple the two
         processes (used by the Lemma 4.15 concentration experiment).
     executor:
-        Optional :class:`repro.dist.DistExecutor`.  When it is
-        distributed, the per-machine phase blocks and the direct
-        Central-Rand iterations run on its workers (outputs and round
-        accounting byte-identical to the in-process path — see
-        DISTRIBUTED.md); otherwise this sequential reference path runs.
+        Optional :class:`repro.dist.DistExecutor` that runs the
+        per-machine phase blocks and the direct Central-Rand iterations
+        (the ``matching.*`` kernels of :mod:`repro.dist.kernels`, the only
+        implementation of both).  ``None`` runs those kernels in process
+        on one inline worker that shares the driver's arrays by
+        reference.  The executor only picks where the kernels run:
+        outputs and round accounting do not depend on it (see
+        DISTRIBUTED.md).
     governor:
         Optional :class:`repro.govern.Governor`.  Watches per-phase load
         and intervenes before the word budget is breached: raises the
@@ -172,6 +183,11 @@ def mpc_fractional_matching(
         wave-splits over-budget scatters, and chunks the per-phase
         freeze broadcasts.  Exact pass-through when it never triggers.
     """
+    if executor is None:
+        with DistExecutor(LocalTransport(1)) as local:
+            return mpc_fractional_matching(
+                graph, config, seed, oracle, trace, local, governor
+            )
     config = config or MatchingConfig()
     epsilon = config.epsilon
     rng = make_rng(seed)
@@ -349,60 +365,41 @@ def mpc_fractional_matching(
         _ship_partitions(cluster, local_edge_counts, phases, governor=governor)
         machine_edges_per_phase.append(max(local_edge_counts, default=0))
 
-        # Lines (e): every machine simulates I iterations locally.  With a
-        # distributed executor the machine blocks are scattered over the
-        # workers and the freeze insertions merged back in machine order —
-        # exactly the order the sequential loop produces.
-        if executor is not None and executor.distributed:
-            local_of = np.full(n, -1, dtype=np.int64)
-            for part in parts:
-                if len(part):
-                    local_of[part] = np.arange(len(part), dtype=np.int64)
-            tasks = []
-            for index, part in enumerate(parts):
-                if len(part) == 0:
-                    continue
-                part_ids = np.asarray(part, dtype=np.int64)
-                lo, hi = boundaries[index], boundaries[index + 1]
-                tasks.append(
-                    (
-                        part_ids,
-                        local_of[local_u[lo:hi]],
-                        local_of[local_v[lo:hi]],
-                        y_old[part_ids],
-                    )
+        # Lines (e): every machine simulates I iterations locally.  The
+        # machine blocks are scattered over the executor's workers and the
+        # freeze insertions merged back in machine order.
+        local_of = np.full(n, -1, dtype=np.int64)
+        tasks = []
+        for index, part in enumerate(parts):
+            if len(part) == 0:
+                continue
+            part_ids = np.asarray(part, dtype=np.int64)
+            local_of[part_ids] = np.arange(len(part_ids), dtype=np.int64)
+            lo, hi = boundaries[index], boundaries[index + 1]
+            tasks.append(
+                (
+                    part_ids,
+                    local_of[local_u[lo:hi]],
+                    local_of[local_v[lo:hi]],
+                    y_old[part_ids],
                 )
-            results = executor.map_tasks(
-                "matching.machines",
-                tasks,
-                shared={
-                    "oracle": oracle,
-                    "start": t,
-                    "iterations": iterations,
-                    "machines": num_machines,
-                    "w0": w0,
-                    "growth": growth,
-                },
-                phase="compressed-phases",
             )
-            for insertions in results:
-                for v, frozen_t in insertions:
-                    freeze_iteration[v] = frozen_t
-        else:
-            for index, part in enumerate(parts):
-                _simulate_machine(
-                    part=part,
-                    edges_u=local_u[boundaries[index] : boundaries[index + 1]],
-                    edges_v=local_v[boundaries[index] : boundaries[index + 1]],
-                    y_old=y_old,
-                    oracle=oracle,
-                    freeze_iteration=freeze_iteration,
-                    start_iteration=t,
-                    iterations=iterations,
-                    num_machines=num_machines,
-                    w0=w0,
-                    growth=growth,
-                )
+        results = executor.map_tasks(
+            "matching.machines",
+            tasks,
+            shared={
+                "oracle": oracle,
+                "start": t,
+                "iterations": iterations,
+                "machines": num_machines,
+                "w0": w0,
+                "growth": growth,
+            },
+            phase="compressed-phases",
+        )
+        for insertions in results:
+            for v, frozen_t in insertions:
+                freeze_iteration[v] = frozen_t
         t += iterations
         d *= (1.0 - epsilon) ** iterations
         phases += 1
@@ -451,38 +448,22 @@ def mpc_fractional_matching(
 
     # Line (4): direct simulation of the remaining Central-Rand iterations.
     t_before_direct = t
-    if executor is not None and executor.distributed:
-        t = _direct_simulation_dist(
-            csr=csr,
-            eu=eu,
-            ev=ev,
-            surviving_mask=surviving_mask,
-            freeze_at=freeze_at,
-            freeze_iteration=freeze_iteration,
-            oracle=oracle,
-            cluster=cluster,
-            start_iteration=t,
-            w0=w0,
-            growth=growth,
-            max_iterations=config.max_direct_iterations,
-            vertex_loads=vertex_loads,
-            executor=executor,
-        )
-    else:
-        t = _direct_simulation(
-            eu=eu,
-            ev=ev,
-            surviving_mask=surviving_mask,
-            freeze_at=freeze_at,
-            freeze_iteration=freeze_iteration,
-            oracle=oracle,
-            cluster=cluster,
-            start_iteration=t,
-            w0=w0,
-            growth=growth,
-            max_iterations=config.max_direct_iterations,
-            vertex_loads=vertex_loads,
-        )
+    t = _direct_central_rand(
+        csr=csr,
+        eu=eu,
+        ev=ev,
+        surviving_mask=surviving_mask,
+        freeze_at=freeze_at,
+        freeze_iteration=freeze_iteration,
+        oracle=oracle,
+        cluster=cluster,
+        start_iteration=t,
+        w0=w0,
+        growth=growth,
+        max_iterations=config.max_direct_iterations,
+        vertex_loads=vertex_loads,
+        executor=executor,
+    )
 
     inside = surviving_mask[eu] & surviving_mask[ev]
     wu = eu[inside]
@@ -602,53 +583,6 @@ def _scatter_waves(messages: List[tuple], soft_words: int) -> List[List[tuple]]:
     return [wave for wave in waves if wave]
 
 
-def _simulate_machine(
-    part: Sequence[int],
-    edges_u: np.ndarray,
-    edges_v: np.ndarray,
-    y_old: np.ndarray,
-    oracle: ThresholdOracle,
-    freeze_iteration: Dict[int, int],
-    start_iteration: int,
-    iterations: int,
-    num_machines: int,
-    w0: float,
-    growth: float,
-) -> None:
-    """Run ``iterations`` local Central-Rand steps on one machine's part.
-
-    ``edges_u``/``edges_v`` are this machine's local induced edges (both
-    endpoints assigned here).  Mutates ``freeze_iteration`` with the
-    vertices this machine froze.
-
-    The whole part is decided per iteration through one
-    :meth:`ThresholdOracle.crosses_batch` call — local degrees live in a
-    part-relabelled array and shrink by masking dead edges, so no
-    adjacency sets are materialized.  Freezing decisions are identical to
-    the historical per-vertex loop (the threshold is a pure function of
-    ``(seed, v, t)`` and the estimate arithmetic is unchanged).
-    """
-    if len(part) == 0:
-        return
-    part_ids = np.asarray(part, dtype=np.int64)
-    local_of = np.full(len(y_old), -1, dtype=np.int64)
-    local_of[part_ids] = np.arange(len(part_ids), dtype=np.int64)
-    insertions = _machine_insertions(
-        part_ids=part_ids,
-        local_u=local_of[edges_u],
-        local_v=local_of[edges_v],
-        y_part=y_old[part_ids],
-        oracle=oracle,
-        start_iteration=start_iteration,
-        iterations=iterations,
-        num_machines=num_machines,
-        w0=w0,
-        growth=growth,
-    )
-    for v, now in insertions:
-        freeze_iteration[v] = now
-
-
 def _machine_insertions(
     part_ids: np.ndarray,
     local_u: np.ndarray,
@@ -663,12 +597,16 @@ def _machine_insertions(
 ) -> List[tuple]:
     """One machine's local Central-Rand block, as ``(vertex, t)`` freezes.
 
-    The machine-local unit of :func:`_simulate_machine`, factored so the
-    distributed executor can run it on a worker (via the
-    ``matching.machines`` kernel) and replay the returned insertions in
-    the driver — list order equals the sequential mutation order.
-    ``local_u``/``local_v`` are the machine's induced edges relabelled to
-    part positions; ``y_part`` is the frozen-load slice for the part.
+    The body of the ``matching.machines`` kernel: a worker runs it per
+    machine and the driver replays the returned insertions in machine
+    order.  ``local_u``/``local_v`` are the machine's induced edges
+    relabelled to part positions; ``y_part`` is the frozen-load slice for
+    the part.
+
+    The whole part is decided per iteration through one
+    :meth:`ThresholdOracle.crosses_batch` call — local degrees live in a
+    part-relabelled array and shrink by masking dead edges, so no
+    adjacency sets are materialized.
     """
     insertions: List[tuple] = []
     k = len(part_ids)
@@ -701,96 +639,7 @@ def _machine_insertions(
     return insertions
 
 
-def _direct_simulation(
-    eu: np.ndarray,
-    ev: np.ndarray,
-    surviving_mask: np.ndarray,
-    freeze_at: np.ndarray,
-    freeze_iteration: Dict[int, int],
-    oracle: ThresholdOracle,
-    cluster: MPCCluster,
-    start_iteration: int,
-    w0: float,
-    growth: float,
-    max_iterations: int,
-    vertex_loads,
-) -> int:
-    """Line (4): simulate Central-Rand directly, one MPC round per iteration.
-
-    Returns the final global iteration counter.
-    """
-    t = start_iteration
-    n = len(surviving_mask)
-    # Unfrozen survivors with at least one unfrozen surviving neighbor —
-    # one vectorized degree scan instead of a per-vertex adjacency walk.
-    unfrozen = surviving_mask & (freeze_at == _NEVER)
-    live_edge = unfrozen[eu] & unfrozen[ev]
-    live_degree = np.bincount(eu[live_edge], minlength=n) + np.bincount(
-        ev[live_edge], minlength=n
-    )
-    initially_active = np.flatnonzero(unfrozen & (live_degree > 0))
-    active = set(initially_active.tolist())
-    active_degree = np.zeros(n, dtype=np.int64)
-    active_degree[initially_active] = live_degree[initially_active]
-    frozen_load = np.zeros(n, dtype=np.float64)
-    loads = vertex_loads(t)
-    # Same association as the historical scalar path:
-    # loads[v] - (deg * w0) * growth**t.
-    frozen_load[initially_active] = loads[initially_active] - (
-        active_degree[initially_active] * w0
-    ) * (growth**t)
-
-    # Neighbor lists restricted to the initially-active set; the direct
-    # loop below only ever looks at active-active adjacency.
-    neighbors: Dict[int, List[int]] = {v: [] for v in active}
-    au = eu[live_edge]
-    av = ev[live_edge]
-    for a, b in zip(au.tolist(), av.tolist()):
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-
-    steps = 0
-    while active:
-        if steps >= max_iterations:
-            raise RuntimeError(
-                "direct Central-Rand simulation exceeded its iteration cap"
-            )
-        w_t = w0 * growth**t
-        # One crosses_batch call per iteration instead of per-vertex oracle
-        # queries; in-band thresholds are materialized in one batched
-        # hashing pass.  Decisions match the scalar loop exactly.
-        act = np.fromiter(active, dtype=np.int64, count=len(active))
-        estimates = frozen_load[act] + active_degree[act] * w_t
-        to_freeze = act[oracle.crosses_batch(act, t, estimates)].tolist()
-        newly = set(to_freeze)
-        for v in to_freeze:
-            freeze_iteration[v] = t
-            freeze_at[v] = t
-            active.discard(v)
-        for v in to_freeze:
-            for u in neighbors[v]:
-                if u in newly:
-                    if u < v:
-                        continue
-                    frozen_load[v] += w_t
-                    frozen_load[u] += w_t
-                    active_degree[v] -= 1
-                    active_degree[u] -= 1
-                elif u in active:
-                    frozen_load[u] += w_t
-                    active_degree[u] -= 1
-                    frozen_load[v] += w_t
-                    active_degree[v] -= 1
-        for v in list(active):
-            if active_degree[v] == 0:
-                active.discard(v)
-        t += 1
-        steps += 1
-        cluster.charge_rounds(1, "matching: direct Central-Rand iteration")
-    return t
-
-
-def _direct_simulation_dist(
+def _direct_central_rand(
     csr: CSRGraph,
     eu: np.ndarray,
     ev: np.ndarray,
@@ -806,36 +655,32 @@ def _direct_simulation_dist(
     vertex_loads,
     executor,
 ) -> int:
-    """Line (4) on the distributed executor — same outputs, same rounds.
+    """Line (4): simulate Central-Rand directly, one MPC round per iteration.
 
+    Runs on the ``matching.direct_init``/``matching.direct_step`` kernels.
     The vertex range is partitioned contiguously over the workers; each
     worker owns the mutable per-vertex state (active flag, active degree,
     frozen load) for its slice and reads the immutable CSR adjacency from
-    shared memory.  Per iteration the driver broadcasts the previous
+    the session arrays.  Per iteration the driver broadcasts the previous
     iteration's global freeze list, allreduces the surviving active
     counts, and merges the newly-frozen ids — charging exactly one
-    cluster round per executed iteration, like the sequential loop.
+    cluster round per executed iteration.  Returns the final global
+    iteration counter.
 
-    Byte-identity with :func:`_direct_simulation` (the parity suite
-    enforces it):
+    Why the result does not depend on the worker count:
 
     * the CSR rows filtered by the initially-active mask are exactly the
-      sequential live-adjacency lists (``eu``/``ev`` come from this CSR,
-      and a full-CSR edge with both endpoints initially active is by
-      definition a live edge);
+      live active-active adjacency (``eu``/``ev`` come from this CSR);
     * all load increments within one iteration equal ``w_t``, and
       ``np.add.at`` performs a per-accumulator sequence of equal-value
       additions — bit-identical floats regardless of order;
     * updates landing on initially-active but since-frozen (or
-      zero-removed) cells diverge from the sequential arrays, but those
-      cells are never read again;
+      zero-removed) cells are never read again;
     * termination and the iteration cap gate on the allreduced count
-      *before* any round is charged or any freeze applied, mirroring the
-      sequential ``while active`` / cap checks.
+      *before* any round is charged or any freeze applied.
     """
     t = start_iteration
     n = len(surviving_mask)
-    # Identical initialization to the sequential path.
     unfrozen = surviving_mask & (freeze_at == _NEVER)
     live_edge = unfrozen[eu] & unfrozen[ev]
     live_degree = np.bincount(eu[live_edge], minlength=n) + np.bincount(
@@ -849,6 +694,7 @@ def _direct_simulation_dist(
     active_degree[active_ids] = live_degree[active_ids]
     frozen_load = np.zeros(n, dtype=np.float64)
     loads = vertex_loads(t)
+    # Association (deg * w0) * growth**t is part of the pinned floats.
     frozen_load[active_ids] = loads[active_ids] - (
         active_degree[active_ids] * w0
     ) * (growth**t)
@@ -886,8 +732,7 @@ def _direct_simulation_dist(
             total = sum(count for _, count in results)
             if total == 0:
                 # Everyone went inactive while applying the previous
-                # iteration's freezes: the sequential loop would have
-                # exited at the top without charging this round.
+                # iteration's freezes: no decision left, no round charged.
                 break
             if steps >= max_iterations:
                 raise RuntimeError(

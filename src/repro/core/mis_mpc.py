@@ -177,7 +177,6 @@ def mis_mpc(
     seed: SeedLike = None,
     config: Optional[MISConfig] = None,
     trace: Optional[Trace] = None,
-    executor=None,
     governor=None,
 ) -> MISResult:
     """Compute an MIS of ``graph`` on a simulated MPC cluster.
@@ -185,11 +184,6 @@ def mis_mpc(
     Memory per machine is ``config.memory_factor * n`` words; the number of
     machines is chosen as ``ceil(total_words / S) + 1`` so the input fits,
     matching the ``S * m = Θ(N)`` regime of Section 1.1.1.
-
-    With a distributed ``executor``, each phase's single-leader greedy
-    prefix walk runs on a worker against the shared CSR + rank arrays
-    (a pure function of its inputs, so output-neutral); the permutation
-    draw, residual masks, and cluster accounting stay driver-side.
 
     A ``governor`` (:class:`repro.govern.Governor`) chunks over-budget
     bulk operations — the permutation broadcast, the per-phase prefix
@@ -248,79 +242,54 @@ def mis_mpc(
 
     shipped_sizes: List[int] = []
     previous_cutoff = 0
-    distributed = executor is not None and executor.distributed
-    session_key = None
-    try:
-        if distributed and cutoffs:
-            session_key = executor.open_session(
-                "mis",
-                {
-                    "indptr": csr.indptr,
-                    "indices": csr.indices,
-                    "ranks": ranks,
-                },
-            )
-        for phase_index, cutoff in enumerate(cutoffs):
-            window = (ranks >= previous_cutoff) & (ranks < cutoff) & ~decided
-            prefix = np.flatnonzero(window)
-            # Prefix vertices are undecided, hence never isolated, so their
-            # residual-induced edges coincide with original-graph edges.
-            prefix_edges = csr.induced_edges(window)
-            _ship_prefix(
-                cluster,
-                prefix_edges,
-                ranks,
-                phase_index,
-                counter_mode=counter_mode,
-                governor=governor,
-            )
-            shipped_sizes.append(len(prefix_edges))
+    for phase_index, cutoff in enumerate(cutoffs):
+        window = (ranks >= previous_cutoff) & (ranks < cutoff) & ~decided
+        prefix = np.flatnonzero(window)
+        # Prefix vertices are undecided, hence never isolated, so their
+        # residual-induced edges coincide with original-graph edges.
+        prefix_edges = csr.induced_edges(window)
+        _ship_prefix(
+            cluster,
+            prefix_edges,
+            ranks,
+            phase_index,
+            counter_mode=counter_mode,
+            governor=governor,
+        )
+        shipped_sizes.append(len(prefix_edges))
 
-            if distributed:
-                # The single-leader phase: one worker walks the prefix
-                # against the shared CSR/rank arrays.
-                [new_mis] = executor.map_tasks(
-                    "mis.prefix_greedy",
-                    [prefix],
-                    shared={"session": session_key},
-                    phase="mis-prefix",
-                )
-            else:
-                new_mis = greedy_mis_on_prefix_csr(csr, ranks, prefix)
-            broadcast_vertex_set(
-                cluster,
-                new_mis.tolist(),
-                context=f"mis: broadcast phase {phase_index} result",
-                governor=governor,
-            )
-            # The chosen vertices are independent, so their closed
-            # neighborhoods can be removed (and marked decided) in one batch,
-            # reusing a single ragged neighbor gather for both masks.
-            mis.update(new_mis.tolist())
-            chosen_neighbors = csr.neighbors_bulk(new_mis)
-            alive = alive.copy()
-            alive[new_mis] = False
-            alive[chosen_neighbors] = False
-            decided[new_mis] = True
-            decided[chosen_neighbors] = True
-            # Vertices of the prefix that were dominated are also decided.
-            decided |= window
-            previous_cutoff = cutoff
-            residual_degrees = csr.degrees(alive)
-            maybe_record(
-                trace,
-                "mis_prefix_phase",
-                phase=phase_index,
-                cutoff=cutoff,
-                shipped_edges=len(prefix_edges),
-                residual_max_degree=int(residual_degrees[alive].max())
-                if alive.any()
-                else 0,
-                mis_size=len(mis),
-            )
-    finally:
-        if session_key is not None:
-            executor.close_session(session_key)
+        new_mis = greedy_mis_on_prefix_csr(csr, ranks, prefix)
+        broadcast_vertex_set(
+            cluster,
+            new_mis.tolist(),
+            context=f"mis: broadcast phase {phase_index} result",
+            governor=governor,
+        )
+        # The chosen vertices are independent, so their closed
+        # neighborhoods can be removed (and marked decided) in one batch,
+        # reusing a single ragged neighbor gather for both masks.
+        mis.update(new_mis.tolist())
+        chosen_neighbors = csr.neighbors_bulk(new_mis)
+        alive = alive.copy()
+        alive[new_mis] = False
+        alive[chosen_neighbors] = False
+        decided[new_mis] = True
+        decided[chosen_neighbors] = True
+        # Vertices of the prefix that were dominated are also decided.
+        decided |= window
+        previous_cutoff = cutoff
+        residual_degrees = csr.degrees(alive)
+        maybe_record(
+            trace,
+            "mis_prefix_phase",
+            phase=phase_index,
+            cutoff=cutoff,
+            shipped_edges=len(prefix_edges),
+            residual_max_degree=int(residual_degrees[alive].max())
+            if alive.any()
+            else 0,
+            mis_size=len(mis),
+        )
 
     finish_seed = rng.getrandbits(64)
     if counter_mode:

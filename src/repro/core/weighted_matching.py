@@ -121,7 +121,6 @@ def mpc_weighted_matching(
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
     memory_factor: int = 8,
-    executor=None,
     governor=None,
 ) -> WeightedMatchingResult:
     """Compute a constant-approximate weighted matching of ``graph``.
@@ -130,12 +129,6 @@ def mpc_weighted_matching(
     maximal matching on the class edges among still-free vertices and add
     it.  The classic analysis gives a ``2(1+ε)``-style factor against the
     optimum restricted to kept edges, hence ``(2+O(ε))`` overall.
-
-    Classes are sequentially dependent (each sees the previous classes'
-    matched vertices), so a distributed ``executor`` dispatches each
-    class's filtering run to a worker; the per-class seed is drawn
-    driver-side in the same RNG position as the sequential path, keeping
-    the outputs identical.
 
     With a ``governor``, a weight class whose participating edge set
     exceeds the soft per-machine budget is chunked into sequential
@@ -153,7 +146,6 @@ def mpc_weighted_matching(
     matching: Set[Edge] = set()
     rounds = 0
     per_class: List[int] = []
-    distributed = executor is not None and executor.distributed
     spec = ClusterSpec.from_graph(graph, memory_factor)
     words_per_machine = spec.words_per_machine
     if governor is not None:
@@ -167,21 +159,14 @@ def mpc_weighted_matching(
             per_class.append(0)
             continue
         class_seed = rng.getrandbits(64)
-        if distributed:
-            [(class_matching, class_rounds)] = executor.map_tasks(
-                "weighted.filtering",
-                [(n, available, words_per_machine, class_seed)],
-                phase="weight-classes",
-            )
-        else:
-            class_matching, class_rounds = _filter_class(
-                n,
-                available,
-                words_per_machine,
-                class_seed,
-                governor=governor,
-                context=f"weighted: class {class_index} filtering",
-            )
+        class_matching, class_rounds = _filter_class(
+            n,
+            available,
+            words_per_machine,
+            class_seed,
+            governor=governor,
+            context=f"weighted: class {class_index} filtering",
+        )
         rounds += class_rounds
         per_class.append(len(class_matching))
         for u, v in class_matching:

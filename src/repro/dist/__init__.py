@@ -6,11 +6,10 @@ audits); this package is the *execution* substrate that runs the
 machine-local work of the MPC solvers on real workers:
 
 * :mod:`repro.dist.transport` — the :class:`Transport` protocol with an
-  in-process reference (:class:`LocalTransport`), a persistent
-  shared-memory multiprocessing pool (:class:`MultiprocessTransport`),
-  and a documented mpi4py mapping (:class:`MPITransport`);
-* :mod:`repro.dist.kernels` — the named worker kernels wrapping the
-  existing machine-local phase logic unchanged;
+  in-process implementation (:class:`LocalTransport`) and a persistent
+  shared-memory multiprocessing pool (:class:`MultiprocessTransport`);
+* :mod:`repro.dist.kernels` — the named worker kernels, the only
+  implementation of the matching solvers' machine-parallel phases;
 * :mod:`repro.dist.executor` — the phase-structured driver
   (:class:`DistExecutor`) the solvers program against;
 * :mod:`repro.dist.faults` — deterministic fault injection
@@ -23,7 +22,8 @@ machine-local work of the MPC solvers on real workers:
 
 Entry point: ``solve(task, graph, backend="mpc", executor="parallel",
 workers=K)`` — outputs and budget audits are byte-identical to the
-sequential simulator under fixed seeds (see DISTRIBUTED.md).
+in-process run (``executor=None``) under fixed seeds (see
+DISTRIBUTED.md).
 """
 
 from repro.dist.errors import (
@@ -42,7 +42,6 @@ from repro.dist.faults import (
 )
 from repro.dist.transport import (
     LocalTransport,
-    MPITransport,
     MultiprocessTransport,
     Transport,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "FaultPolicy",
     "FaultSpec",
     "LocalTransport",
-    "MPITransport",
     "MultiprocessTransport",
     "RecoveryLog",
     "SupervisedTransport",

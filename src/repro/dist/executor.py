@@ -1,4 +1,4 @@
-"""The phase-structured distributed executor behind ``solve(executor=...)``.
+"""The phase-structured executor behind ``solve(executor=...)``.
 
 :class:`DistExecutor` is what the MPC solvers see: sessions of shared
 arrays, scatter/gather of machine tasks, per-iteration broadcast steps
@@ -7,17 +7,13 @@ driver shape of the reference cluster harness (SNIPPETS.md Snippet 1:
 allreduce the active counts, barrier per phase, gather at the root),
 with the transport abstraction underneath choosing where the work runs.
 
-Two execution modes share the class:
-
-* ``distributed=False`` (the ``executor="local"`` default over
-  :class:`~repro.dist.transport.LocalTransport`) — the solvers keep
-  their plain sequential code path untouched; the executor only
-  contributes run metadata.  This is the reference behavior benchmarks
-  compare against.
-* ``distributed=True`` (``executor="parallel"``, or any transport with
-  process isolation) — the solvers partition their machine-local units
-  across the transport's workers.  Outputs are byte-identical to the
-  sequential simulator by construction, and the parity suite enforces it.
+The solvers have one code path per phase and always drive it through an
+executor; the transport only decides where the kernels run.  A solve
+with ``executor=None`` builds ``DistExecutor(LocalTransport(1))`` itself
+(kernels inline in the driver, arrays shared by reference);
+``executor="parallel"`` partitions the same kernels over a worker pool.
+Outputs are byte-identical across transports and worker counts by
+construction, and the parity suite enforces it.
 
 Executors are reusable across ``solve`` calls: the scaling harness builds
 one per worker count and amortizes pool startup over every repeat.
@@ -29,15 +25,10 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dist.errors import DistExecutionError
-from repro.dist.transport import (
-    LocalTransport,
-    MPITransport,
-    MultiprocessTransport,
-    Transport,
-)
+from repro.dist.transport import MultiprocessTransport, Transport
 
 #: Executor names accepted by the façade.
-EXECUTOR_KINDS = ("local", "parallel", "mpi")
+EXECUTOR_KINDS = ("parallel",)
 
 _DEFAULT_WORKERS = 2
 
@@ -45,19 +36,9 @@ _DEFAULT_WORKERS = 2
 class DistExecutor:
     """Phase-structured driver over a :class:`Transport`."""
 
-    def __init__(
-        self,
-        transport: Transport,
-        kind: Optional[str] = None,
-        distributed: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, transport: Transport, kind: Optional[str] = None) -> None:
         self._transport = transport
         self.kind = kind or type(transport).__name__
-        # Overridable so tests can force the kernel-partitioned path
-        # through LocalTransport (in-process, no multiprocessing).
-        self.distributed = (
-            transport.distributed if distributed is None else bool(distributed)
-        )
         self._session_counter = 0
         self._phase_walls: Dict[str, Dict[str, float]] = {}
         self._closed = False
@@ -104,9 +85,9 @@ class DistExecutor:
     def partition(self, n: int) -> List[Tuple[int, int]]:
         """Contiguous ``[lo, hi)`` vertex ranges, one per worker.
 
-        Balanced to within one vertex.  The solvers' distributed paths
-        are range-invariant (the parity suite runs several worker
-        counts), so this split only affects load balance, not outputs.
+        Balanced to within one vertex.  The solvers' kernel phases are
+        range-invariant (the parity suite runs several worker counts), so
+        this split only affects load balance, not outputs.
         """
         workers = self.workers
         base, extra = divmod(n, workers)
@@ -253,15 +234,15 @@ def resolve_executor(
 
     Returns ``(executor_or_None, owned)`` — ``owned`` tells the caller
     whether it created (and must close) the executor.  Accepted values:
-    ``None``, a reusable :class:`DistExecutor` instance, or one of
-    ``"local"`` / ``"parallel"`` / ``"mpi"``.
+    ``None``, a reusable :class:`DistExecutor` instance, or
+    ``"parallel"`` (a :class:`MultiprocessTransport` worker pool).
 
     ``fault_policy`` / ``fault_plan`` opt the ``"parallel"`` executor
     into the supervised path (:mod:`repro.dist.faults`): the policy sets
     retry/respawn/degradation budgets, the plan injects deterministic
     faults underneath the supervision (the chaos-test configuration).  A
     plan without a policy gets the default :class:`FaultPolicy`.  Both
-    are meaningless for in-process executors and for an already-built
+    are meaningless without an executor and for an already-built
     ``DistExecutor`` (whose transport stack is fixed), so those
     combinations are rejected.
     """
@@ -293,40 +274,23 @@ def resolve_executor(
             f"executor must be None, a DistExecutor, or one of "
             f"{EXECUTOR_KINDS}; got {type(executor).__name__}"
         )
-    if supervised and executor != "parallel":
+    if executor not in EXECUTOR_KINDS:
         raise ValueError(
-            f"fault_policy/fault_plan require executor='parallel', "
-            f"got executor={executor!r}"
+            f"unknown executor {executor!r}; expected one of {EXECUTOR_KINDS}"
         )
     if workers is None:
         workers = _DEFAULT_WORKERS
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if executor == "local":
-        return DistExecutor(LocalTransport(workers), kind="local"), True
-    if executor == "parallel":
-        if supervised:
-            from repro.dist.faults import (
-                ChaosTransport,
-                FaultPolicy,
-                SupervisedTransport,
-            )
+    if not supervised:
+        return DistExecutor(MultiprocessTransport(workers), kind="parallel"), True
+    from repro.dist.faults import ChaosTransport, FaultPolicy, SupervisedTransport
 
-            policy = policy or FaultPolicy()
-            transport: Transport = MultiprocessTransport(
-                workers, step_timeout_s=policy.step_timeout_s
-            )
-            if plan is not None:
-                transport = ChaosTransport(transport, plan)
-            transport = SupervisedTransport(transport, policy)
-            return DistExecutor(transport, kind="parallel"), True
-        return (
-            DistExecutor(MultiprocessTransport(workers), kind="parallel"),
-            True,
-        )
-    if executor == "mpi":
-        # Raises NotImplementedError with the documentation pointer.
-        return DistExecutor(MPITransport(workers), kind="mpi"), True
-    raise ValueError(
-        f"unknown executor {executor!r}; expected one of {EXECUTOR_KINDS}"
+    policy = policy or FaultPolicy()
+    transport: Transport = MultiprocessTransport(
+        workers, step_timeout_s=policy.step_timeout_s
     )
+    if plan is not None:
+        transport = ChaosTransport(transport, plan)
+    transport = SupervisedTransport(transport, policy)
+    return DistExecutor(transport, kind="parallel"), True

@@ -233,10 +233,6 @@ class ChaosTransport(Transport):
         return self._inner
 
     @property
-    def distributed(self) -> bool:  # type: ignore[override]
-        return self._inner.distributed
-
-    @property
     def workers(self) -> int:
         return self._inner.workers
 
@@ -417,8 +413,6 @@ class SupervisedTransport(Transport):
     :func:`repro.dist.kernels.is_stateful`): stateless phases leave no
     worker-resident trace, so replaying them would be pure waste.
     """
-
-    distributed = True
 
     def __init__(
         self, inner: Transport, policy: Optional[FaultPolicy] = None

@@ -6,13 +6,16 @@ name inside each worker (the registry is populated at module import, so
 forked and spawned workers see the same table), which keeps step payloads
 free of code objects.
 
-The solver kernels here wrap the *existing* machine-local MPC phase logic
-— :func:`repro.core.matching_mpc._machine_insertions`,
-:func:`repro.core.greedy_mis.greedy_mis_on_prefix_csr`,
-:func:`repro.baselines.filtering.filtering_maximal_matching` — unchanged;
-the distributed executor only changes *where* those units run, never what
-they compute, which is what keeps ``executor="parallel"`` byte-identical
-to the sequential simulator.
+The ``matching.*`` kernels are the only implementation of the two
+machine-parallel phases of MPC-Simulation (Lemma 4.2): the compressed
+per-machine Central-Rand blocks (``matching.machines``, wrapping
+:func:`repro.core.matching_mpc._machine_insertions`) and the Line (4)
+direct simulation (``matching.direct_init`` / ``matching.direct_step``).
+:func:`repro.core.matching_mpc.mpc_fractional_matching` always runs
+them through a :class:`~repro.dist.executor.DistExecutor` — in process
+on one inline worker by default, or on a worker pool with
+``executor="parallel"`` — so the executor picks where they run, never
+which code runs.
 
 Worker-resident state (the direct-simulation vertex slices) lives in
 ``ctx.session(key).state`` and survives across steps until the session is
@@ -167,8 +170,8 @@ def _matching_machines(ctx, payload: Any) -> List[List[Tuple[int, int]]]:
     ``payload["tasks"]`` is a list of ``(part_ids, local_u, local_v,
     y_part)`` machine inputs; ``payload["shared"]`` carries the oracle and
     the phase constants.  Returns one freeze-insertion list per task, in
-    task order — the driver replays them machine-by-machine, reproducing
-    the sequential simulator's ``freeze_iteration`` updates exactly.
+    task order — the driver replays them machine by machine, so the
+    merged ``freeze_iteration`` does not depend on the chunking.
     """
     from repro.core.matching_mpc import _machine_insertions
 
@@ -204,20 +207,19 @@ def _matching_machines(ctx, payload: Any) -> List[List[Tuple[int, int]]]:
 #      occurrence of an owned vertex in a newly-frozen vertex's (active-
 #      filtered) adjacency row adds the previous weight w_{t-1} to its
 #      frozen load and decrements its active degree — ``np.add.at`` with
-#      repeated indices performs the same per-accumulator sequence of
-#      equal-value additions as the sequential neighbor loop, so the
-#      float results are bit-identical;
+#      repeated indices performs a per-accumulator sequence of
+#      equal-value additions, so the float results do not depend on the
+#      order (or the worker) the occurrences are applied in;
 #   2. drop owned vertices whose active degree reached zero;
 #   3. report the owned active count (the driver's allreduce decides
 #      termination and round charging *before* consuming decisions);
-#   4. *decide* iteration t through the same ThresholdOracle batch call
-#      the sequential path uses and return the newly-frozen owned ids.
+#   4. *decide* iteration t through one ThresholdOracle batch call and
+#      return the newly-frozen owned ids.
 #
 # Updates land unconditionally on every initially-active occurrence:
 # vertices that already froze or went inactive can never re-enter the
-# active set, so their (divergent) load/degree cells are never read —
-# only currently-active cells matter, and those receive exactly the
-# sequential increments.
+# active set, so their stale load/degree cells are never read — only
+# currently-active cells matter.
 
 
 @kernel("matching.direct_init", stateful=True)
@@ -284,58 +286,3 @@ def _direct_step(ctx, payload: Any) -> Tuple[np.ndarray, int]:
     newly = act[crossed]
     state["active"][newly - lo] = False
     return newly, count
-
-
-# ---------------------------------------------------------------------------
-# mis: rank-prefix greedy on one machine (Theorem 1.1, step 2)
-# ---------------------------------------------------------------------------
-
-
-@kernel("mis.prefix_greedy")
-def _mis_prefix_greedy(ctx, payload: Any) -> List[np.ndarray]:
-    """Walk each shipped rank prefix greedily (the single-leader phase).
-
-    The session holds the CSR arrays and the shared rank permutation; the
-    tasks are prefix vertex arrays.  Pure function of its inputs, so
-    dispatching it to a worker is output-neutral by construction.
-    """
-    from repro.core.greedy_mis import greedy_mis_on_prefix_csr
-    from repro.graph.csr import CSRGraph
-
-    session = ctx.session(payload["shared"]["session"])
-    csr = session.state.get("csr")
-    if csr is None:
-        csr = CSRGraph(session.arrays["indptr"], session.arrays["indices"])
-        session.state["csr"] = csr
-    ranks = session.arrays["ranks"]
-    return [
-        greedy_mis_on_prefix_csr(csr, ranks, np.asarray(prefix, dtype=np.int64))
-        for prefix in payload["tasks"]
-    ]
-
-
-# ---------------------------------------------------------------------------
-# weighted matching: per-class filtering maximal matching (Corollary 1.4)
-# ---------------------------------------------------------------------------
-
-
-@kernel("weighted.filtering")
-def _weighted_filtering(ctx, payload: Any) -> List[Tuple[list, int]]:
-    """Run the LMSV11 filtering maximal matching on one weight class.
-
-    Tasks are ``(n, edges, words_per_machine, seed)``; the per-class seed
-    is drawn by the driver (in the same RNG position as the sequential
-    path), so the worker-side run is deterministic and identical.
-    """
-    from repro.baselines.filtering import filtering_maximal_matching
-    from repro.graph.graph import Graph
-
-    results = []
-    for n, edges, words_per_machine, class_seed in payload["tasks"]:
-        outcome = filtering_maximal_matching(
-            Graph(n, edges),
-            words_per_machine=words_per_machine,
-            seed=class_seed,
-        )
-        results.append((sorted(outcome.matching), outcome.rounds))
-    return results

@@ -15,14 +15,13 @@ traffic between the driver and them:
   out-of-band through chunked, CRC32-checksummed pipe frames.
 * ``drop``/``close`` — session and worker teardown.
 
-:class:`LocalTransport` is the in-process reference implementation: the
-same sessions, the same kernels, run sequentially in the driver process.
-It defines the semantics the real transports must reproduce,
-``executor="local"`` benchmarks against it, and the supervision layer
+:class:`LocalTransport` is the in-process implementation: the same
+sessions, the same kernels, run sequentially in the driver process.  It
+is what ``executor=None`` solves run on, it defines the semantics the
+process-isolated transport must reproduce, and the supervision layer
 (:mod:`repro.dist.faults`) degrades onto it when the worker pool is
-beyond saving.  :class:`MPITransport` documents how the same interface
-maps onto ``mpi4py`` without importing it (the container has no MPI
-stack).
+beyond saving.  How the same interface maps onto ``mpi4py`` is written
+up in DISTRIBUTED.md.
 
 Failure surface (the contract the fault tests pin):
 
@@ -124,11 +123,6 @@ class WorkerContext:
 class Transport:
     """Abstract transport; see the module docstring for the contract."""
 
-    #: Whether workers execute in separate processes.  The executor layer
-    #: uses this to decide between the plain sequential solver path
-    #: (reference behavior) and the kernel-partitioned distributed path.
-    distributed = False
-
     @property
     def workers(self) -> int:
         raise NotImplementedError
@@ -153,7 +147,7 @@ class Transport:
 
 
 class LocalTransport(Transport):
-    """The reference transport: kernels run inline, one worker at a time.
+    """The in-process transport: kernels run inline, one worker at a time.
 
     Sessions share the driver's arrays by reference (no copies), so
     kernels must treat ``Session.arrays`` and received payloads as
@@ -161,8 +155,6 @@ class LocalTransport(Transport):
     what this one enforces by convention, and the parity suite checks the
     two agree.
     """
-
-    distributed = False
 
     def __init__(self, workers: int = 2) -> None:
         if workers < 1:
@@ -485,8 +477,6 @@ class MultiprocessTransport(Transport):
     layer (:class:`repro.dist.faults.SupervisedTransport`) instead uses
     :meth:`step_partial` + :meth:`respawn_worker` to recover in place.
     """
-
-    distributed = True
 
     def __init__(
         self,
@@ -925,36 +915,3 @@ class MultiprocessTransport(Transport):
             self.close()
         except Exception:
             pass
-
-
-class MPITransport(Transport):
-    """How the same interface maps onto ``mpi4py`` (documentation stub).
-
-    The container image has no MPI stack, so this class only records the
-    mapping a real deployment would implement behind the identical
-    driver-facing API (see DISTRIBUTED.md for the full sketch):
-
-    * construction — ``MPI.COMM_WORLD`` with the driver on rank 0 and
-      ``workers = comm.Get_size() - 1``; worker ranks sit in the same
-      install/drop/step/close command loop as
-      :func:`_worker_main`, driven by ``comm.bcast`` of the command tuple.
-    * ``install`` — one ``comm.Bcast`` per array (dtype/shape first, then
-      the raw buffer); node-local ranks may further share one copy via
-      ``MPI.Win.Allocate_shared``.
-    * ``step`` — ``comm.scatter`` of the payload list (driver contributes
-      a ``None`` slot), kernel execution on each rank, ``comm.gather`` of
-      the results; the gather is the per-phase barrier.
-    * ``close`` — broadcast the close command, then ``comm.Barrier``.
-
-    Failure mapping: a dead rank surfaces as an ``MPI.Exception`` /
-    aborted communicator, which the driver wraps in
-    :class:`DistExecutionError` exactly like a dead pipe.
-    """
-
-    distributed = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        raise NotImplementedError(
-            "MPITransport is a documented mapping, not an implementation: "
-            "this environment has no mpi4py. See DISTRIBUTED.md."
-        )

@@ -21,29 +21,18 @@ protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Optional, Set
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph, gather_rows
 from repro.graph.graph import Edge, Graph, canonical_edge
-from repro.mpc.engine import (
-    BatchSuperstep,
-    EngineResult,
-    PregelEngine,
-    VertexContext,
-)
+from repro.mpc.engine import BatchSuperstep, PregelEngine
 from repro.utils.rng import SeedLike
 
-# Vertex lifecycle states shared by the programs below.
-_LIVE = "live"
-_IN_SET = "in_set"
-_DEAD = "dead"
-
 _PHASE_PROPOSE = 0
-_PHASE_RESOLVE = 1
 
-# Integer statuses of the batched kernels (same lifecycle, array-encoded).
+# Vertex lifecycle statuses of the batched kernels.
 _S_LIVE = 0
 _S_IN_SET = 1
 _S_DEAD = 2
@@ -94,15 +83,15 @@ class DistributedMISResult:
 class LubyBatchProgram:
     """Luby's MIS as a *batched* vertex program (see module docstring).
 
-    Implements the same 2-superstep propose/resolve protocol as the
-    per-vertex closure below, one whole superstep at a time: the propose
+    Implements the 2-superstep propose/resolve protocol one whole
+    superstep at a time: the propose
     kernel draws for every live vertex in one batched hashing pass and
     queues one draw message per incident edge; the resolve kernel decides
     every vertex with one segment-min over the CSR slots.  Messages,
-    halts, and draws replicate the per-vertex program exactly, so the
+    halts, and draws replicate a per-vertex program exactly, so the
     engine's superstep/round/word accounting — and the MIS itself — are
-    byte-identical (pinned by ``tests/test_backend_parity.py`` and the
-    batch-vs-per-vertex parity tests).
+    byte-identical to it (pinned by ``tests/test_backend_parity.py``
+    against the per-vertex oracle kept in the test suite).
     """
 
     def initialize(self, graph: CSRGraph) -> None:
@@ -167,74 +156,18 @@ def luby_vertex_program(
     graph: Graph,
     seed: SeedLike = None,
     words_per_machine: Optional[int] = None,
-    batched: bool = True,
 ) -> DistributedMISResult:
     """Luby's MIS as a message-passing vertex program.
 
-    ``batched=True`` (the default) runs the vectorized superstep kernel;
-    ``batched=False`` runs the original per-vertex closures.  Both produce
-    identical results under the same seed.
+    Runs :class:`LubyBatchProgram` — one vectorized kernel per superstep.
     """
-    if batched:
-        engine = PregelEngine(
-            graph, words_per_machine=words_per_machine, seed=seed
-        )
-        program = LubyBatchProgram()
-        outcome = engine.run_program(program)
-        degrees = program.csr.degrees()
-        mis = set(
-            np.flatnonzero((program.status == _S_IN_SET) | (degrees == 0)).tolist()
-        )
-        return DistributedMISResult(
-            mis=mis,
-            supersteps=outcome.supersteps,
-            rounds=outcome.rounds,
-            max_machine_message_words=outcome.max_machine_message_words,
-            total_message_words=outcome.total_message_words,
-        )
-
-    def initial_state(vertex: int) -> Dict[str, Any]:
-        return {"status": _LIVE}
-
-    def compute(ctx: VertexContext, messages: List[Any]) -> None:
-        state = ctx.state
-        if state["status"] == _DEAD:
-            ctx.vote_to_halt()
-            return
-        phase = ctx.superstep % 2
-        if phase == _PHASE_PROPOSE:
-            if state["status"] == _IN_SET:
-                ctx.vote_to_halt()
-                return
-            # A neighbor joined the set last resolve step: die.
-            if any(kind == "joined" for kind, _ in messages):
-                state["status"] = _DEAD
-                ctx.vote_to_halt()
-                return
-            value = (ctx.random(), ctx.vertex)
-            state["draw"] = value
-            ctx.send_to_neighbors(("draw", value))
-        else:
-            if state["status"] != _LIVE:
-                ctx.vote_to_halt()
-                return
-            draws = [payload for kind, payload in messages if kind == "draw"]
-            my_draw = state["draw"]
-            if all(my_draw < other for other in draws):
-                state["status"] = _IN_SET
-                ctx.send_to_neighbors(("joined", ctx.vertex))
-                ctx.vote_to_halt()
-            # Losers stay live and propose again next superstep.
-
-    engine = PregelEngine(
-        graph, words_per_machine=words_per_machine, seed=seed
+    engine = PregelEngine(graph, words_per_machine=words_per_machine, seed=seed)
+    program = LubyBatchProgram()
+    outcome = engine.run_program(program)
+    degrees = program.csr.degrees()
+    mis = set(
+        np.flatnonzero((program.status == _S_IN_SET) | (degrees == 0)).tolist()
     )
-    outcome = engine.run(compute, initial_state=initial_state)
-    mis = {
-        v
-        for v, state in outcome.states.items()
-        if state["status"] == _IN_SET or graph.degree(v) == 0
-    }
     return DistributedMISResult(
         mis=mis,
         supersteps=outcome.supersteps,
@@ -275,8 +208,9 @@ class MatchingBatchProgram:
     * **finalize** — matched proposers record their mates; every newly
       matched vertex notifies its live-view except the mate and halts.
 
-    Message multisets, halts, and draws replicate the per-vertex program,
-    so supersteps/rounds/words and the matching are byte-identical.
+    Message multisets, halts, and draws replicate the per-vertex protocol
+    (kept as an oracle in the test suite), so supersteps/rounds/words and
+    the matching are byte-identical to it.
     """
 
     def initialize(self, graph: CSRGraph) -> None:
@@ -384,15 +318,10 @@ def matching_vertex_program(
     graph: Graph,
     seed: SeedLike = None,
     words_per_machine: Optional[int] = None,
-    batched: bool = True,
 ) -> DistributedMatchingResult:
     """Maximal matching by a randomized propose/accept handshake ([II86]
-    flavor).
-
-    ``batched=True`` (the default) runs the vectorized superstep kernels of
-    :class:`MatchingBatchProgram`; ``batched=False`` runs the original
-    per-vertex closures.  Both produce identical results under the same
-    seed.
+    flavor), run as the vectorized superstep kernels of
+    :class:`MatchingBatchProgram`.
 
     Per algorithmic round (3 supersteps):
 
@@ -407,91 +336,16 @@ def matching_vertex_program(
     Every acceptor with at least one proposing neighbor matches, which is
     the constant-progress engine behind the O(log n)-round bound.
     """
-    if batched:
-        engine = PregelEngine(
-            graph, words_per_machine=words_per_machine, seed=seed
-        )
-        program = MatchingBatchProgram()
-        outcome = engine.run_program(program)
-        mate = program.mate
-        matched = np.flatnonzero(mate >= 0)
-        matching: Set[Edge] = {
-            canonical_edge(int(v), int(mate[v]))
-            for v in matched.tolist()
-            if mate[mate[v]] == v
-        }
-        return DistributedMatchingResult(
-            matching=matching,
-            supersteps=outcome.supersteps,
-            rounds=outcome.rounds,
-            max_machine_message_words=outcome.max_machine_message_words,
-            total_message_words=outcome.total_message_words,
-        )
-
-    def initial_state(vertex: int) -> Dict[str, Any]:
-        return {"status": _LIVE, "mate": None, "live_neighbors": None}
-
-    def compute(ctx: VertexContext, messages: List[Any]) -> None:
-        state = ctx.state
-        if state["live_neighbors"] is None:
-            state["live_neighbors"] = set(ctx.neighbors)
-        if state["status"] == _DEAD:
-            ctx.vote_to_halt()
-            return
-        phase = ctx.superstep % 3
-        if phase == 0:  # propose
-            for kind, payload in messages:
-                if kind == "dead":
-                    state["live_neighbors"].discard(payload)
-            if state["mate"] is not None or not state["live_neighbors"]:
-                state["status"] = _DEAD
-                ctx.vote_to_halt()
-                return
-            is_proposer = ctx.random() < 0.5
-            state["role"] = "proposer" if is_proposer else "acceptor"
-            state["proposed_to"] = None
-            if is_proposer:
-                live = sorted(state["live_neighbors"])
-                target = live[int(ctx.random() * 7919) % len(live)]
-                state["proposed_to"] = target
-                ctx.send_to(target, ("propose", ctx.vertex))
-        elif phase == 1:  # accept
-            if state["role"] == "acceptor":
-                proposers = sorted(
-                    payload for kind, payload in messages if kind == "propose"
-                )
-                live_proposers = [
-                    u for u in proposers if u in state["live_neighbors"]
-                ]
-                if live_proposers:
-                    chosen = live_proposers[0]
-                    state["mate"] = chosen
-                    ctx.send_to(chosen, ("accept", ctx.vertex))
-        else:  # finalize
-            if state["role"] == "proposer":
-                accepts = [
-                    payload for kind, payload in messages if kind == "accept"
-                ]
-                if accepts:
-                    # An acceptor accepts at most one proposer and we
-                    # proposed to exactly one vertex, so this is unique.
-                    state["mate"] = accepts[0]
-            if state["mate"] is not None:
-                state["status"] = _DEAD
-                for u in state["live_neighbors"]:
-                    if u != state["mate"]:
-                        ctx.send_to(u, ("dead", ctx.vertex))
-                ctx.vote_to_halt()
-
-    engine = PregelEngine(
-        graph, words_per_machine=words_per_machine, seed=seed
-    )
-    outcome = engine.run(compute, initial_state=initial_state)
-    matching: Set[Edge] = set()
-    for v, state in outcome.states.items():
-        mate = state.get("mate")
-        if mate is not None and outcome.states[mate].get("mate") == v:
-            matching.add(canonical_edge(v, mate))
+    engine = PregelEngine(graph, words_per_machine=words_per_machine, seed=seed)
+    program = MatchingBatchProgram()
+    outcome = engine.run_program(program)
+    mate = program.mate
+    matched = np.flatnonzero(mate >= 0)
+    matching: Set[Edge] = {
+        canonical_edge(int(v), int(mate[v]))
+        for v in matched.tolist()
+        if mate[mate[v]] == v
+    }
     return DistributedMatchingResult(
         matching=matching,
         supersteps=outcome.supersteps,

@@ -11,8 +11,9 @@ counts, and communication accounting alike.  Regenerate deliberately with
 only when an *intentional* behavior change lands (and say so in the PR).
 
 The module also property-tests the array-based substrate validation
-(Lenzen routing loads, clique bandwidth) and the batched SHA-threshold
-helpers against their scalar/dict-based references.
+(Lenzen routing loads, clique bandwidth), the batched SHA-threshold
+helpers, and the batched Pregel programs against their scalar/dict-based
+references (the oracles in ``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.api import solve
 from repro.baselines.israeli_itai import israeli_itai_matching
 from repro.baselines.luby import luby_mis
 from repro.baselines.parallel_greedy import parallel_greedy_mis
-from repro.graph.generators import gnp_random_graph
+from repro.graph.generators import gnp_random_graph, random_weighted_graph
 
 
 def _fingerprint(payload) -> str:
@@ -36,9 +37,12 @@ def _fingerprint(payload) -> str:
     ).hexdigest()
 
 
-def _solve_fingerprint(task, backend, n, p, graph_seed, solve_seed) -> str:
-    graph = gnp_random_graph(n, p, seed=graph_seed)
-    report = solve(task, graph, backend=backend, seed=solve_seed)
+def _solve_fingerprint(task, backend, n, p, graph_seed, solve_seed, rng=None) -> str:
+    make_graph = (
+        random_weighted_graph if task == "weighted_matching" else gnp_random_graph
+    )
+    graph = make_graph(n, p, seed=graph_seed)
+    report = solve(task, graph, backend=backend, seed=solve_seed, rng=rng)
     return _fingerprint(
         {
             "task": report.task,
@@ -96,6 +100,47 @@ SOLVE_CASES = {
     "matching/pregel": ("matching", "pregel", 300, 0.05, 15, 9),
     "fractional/mpc": ("fractional_matching", "mpc", 300, 0.1, 19, 13),
     "matching/mpc": ("matching", "mpc", 200, 0.1, 20, 14),
+    # Captured at commit 8095764, while the MPC solvers still carried
+    # their sequential twins of the repro.dist kernels; these pins are the
+    # absolute reference that replaced them.  G(60, 1/2) is dense enough
+    # for a rank-prefix phase; the matching-family cases run both
+    # compressed phases and the direct Central-Rand simulation.
+    "mis/mpc/dense": ("mis", "mpc", 60, 0.5, 21, 15),
+    "vertex_cover/mpc": ("vertex_cover", "mpc", 200, 0.1, 22, 16),
+    "one_plus_eps_matching/mpc": ("one_plus_eps_matching", "mpc", 120, 0.1, 23, 17),
+    "weighted_matching/mpc": ("weighted_matching", "mpc", 150, 0.1, 24, 18),
+    # Captured at the same commit with the order-free counter RNG, which
+    # the machine-block and direct-simulation kernels draw from as well.
+    "mis/mpc/counter": ("mis", "mpc", 60, 0.5, 25, 19, "counter"),
+    "matching/mpc/counter": ("matching", "mpc", 200, 0.1, 26, 20, "counter"),
+    "fractional/mpc/counter": (
+        "fractional_matching",
+        "mpc",
+        300,
+        0.1,
+        27,
+        21,
+        "counter",
+    ),
+    "vertex_cover/mpc/counter": ("vertex_cover", "mpc", 200, 0.1, 28, 22, "counter"),
+    "one_plus_eps_matching/mpc/counter": (
+        "one_plus_eps_matching",
+        "mpc",
+        120,
+        0.1,
+        29,
+        23,
+        "counter",
+    ),
+    "weighted_matching/mpc/counter": (
+        "weighted_matching",
+        "mpc",
+        150,
+        0.1,
+        30,
+        24,
+        "counter",
+    ),
 }
 
 BASELINE_CASES = {
@@ -107,14 +152,24 @@ BASELINE_CASES = {
 PINS = {
     "fractional/congested_clique": "39cafaa66fc21ef350646cceae45ed09d5e5a9c5cb0142a22a75716e764ca600",
     "fractional/mpc": "94564401bfdca5a758a92cc29c3f3a1fa9d810d4d0c178e4b684d898b427f4d7",
+    "fractional/mpc/counter": "c0d016f87934d645f07bad2716f374dcc3847f38d1c7847d89743bd7c777d7c6",
     "israeli_itai": "47eed39d4c0274eab55fd49bc7baa038b5f9bf392daff924d51e9025e5ce019c",
     "luby": "f77e102d6259b7e96d985e94f818c0e25b6a9ab7b1558000d56a391d3e5b927c",
     "matching/mpc": "600ca0bb1111ac7914bd9cf264091ba89508ae35a31bd3c087995f1e4a10cf90",
+    "matching/mpc/counter": "09681fbee0b73e4746205b93327a824c0bfef2630ae7bbfb0731d4873e56ce26",
     "matching/pregel": "2150036e7c7f24af1f32535b5a3ca2680d0009e2a49772a5e4187763b7c7a689",
     "mis/congested_clique/dense": "32e519c87499c20714a7c5f8214d66f978682d2950d2e0df6b2a18c863e232e2",
     "mis/congested_clique/sparse": "569124578f790bece8ba77369c6de5116a22127c620bbeeaee31c53680c469ef",
+    "mis/mpc/counter": "9ecb4186cb3d40b443320146857e17c565ac37af17a3cc7f308f84a5998429c3",
+    "mis/mpc/dense": "511148a3c90ac3eb2f5989958de0bf37b4dfb4c80608ec13249209603cd9977a",
     "mis/pregel": "cf0e631933eb1381de63f9c463be415227e2977c13be702caff1567919515f9e",
+    "one_plus_eps_matching/mpc": "d3cb99727f59f7a4a3ac0c0bb38a0d9ad3d301e273fc0b26e674b0dbbb08dd6d",
+    "one_plus_eps_matching/mpc/counter": "4a321ac4ea562211bf3c44eb9b02f4db1c398a5b0cc70b939f492b6546610061",
     "parallel_greedy": "42bce1427a0a72eb377430b9c258e4606edbfeffe4487b0b15813871d92595c8",
+    "vertex_cover/mpc": "27b9920807031de30e14e810c0b868ee11b183091917c764e5e7a52d10cfd90c",
+    "vertex_cover/mpc/counter": "70d929c34dfd99519745119e9a219450f9f72e99301d503344577514ffca614d",
+    "weighted_matching/mpc": "d90c9907b628da4dcd7dfc7dd16f17391464ac75b5443babedd6ba11a2990a90",
+    "weighted_matching/mpc/counter": "ba1a3046a119b2ee9c453f228d6f2cff2db5e5a10cfdc763c8386d2e094ee69c",
 }
 
 
@@ -149,10 +204,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congested_clique.model import CongestedClique
-from repro.congested_clique.routing import lenzen_route, lenzen_route_arrays
+from repro.congested_clique.routing import lenzen_route_arrays
 from repro.core.thresholds import ThresholdOracle, fixed_oracle
 from repro.mpc.errors import ProtocolError
 from repro.utils.rng import RngStream
+from tests.reference import lenzen_route, round_of_messages
 
 message_batches = st.integers(min_value=2, max_value=6).flatmap(
     lambda n: st.tuples(
@@ -203,7 +259,7 @@ def test_clique_round_array_validation_matches_dict_reference(batch):
     senders = np.array([s for s, _ in messages], dtype=np.int64)
     receivers = np.array([r for _, r in messages], dtype=np.int64)
     try:
-        reference.round_of_messages([(s, r, 1) for s, r in messages])
+        round_of_messages(reference, [(s, r, 1) for s, r in messages])
         ref_ok = True
     except ProtocolError:
         ref_ok = False
@@ -274,6 +330,7 @@ def test_fixed_oracle_crosses_batch():
 from repro.graph.generators import cycle_graph, path_graph, star_graph
 from repro.graph.graph import Graph
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
+from tests.reference import luby_per_vertex, matching_per_vertex
 
 ENGINE_PARITY_GRAPHS = [
     gnp_random_graph(80, 0.1, seed=0),
@@ -292,8 +349,8 @@ ENGINE_PARITY_GRAPHS = [
 @pytest.mark.parametrize("seed", [0, 7])
 def test_luby_batch_kernel_matches_per_vertex(index, seed):
     graph = ENGINE_PARITY_GRAPHS[index]
-    reference = luby_vertex_program(graph, seed=seed, batched=False)
-    batched = luby_vertex_program(graph, seed=seed, batched=True)
+    reference = luby_per_vertex(graph, seed=seed)
+    batched = luby_vertex_program(graph, seed=seed)
     assert batched.mis == reference.mis
     assert batched.supersteps == reference.supersteps
     assert batched.rounds == reference.rounds
@@ -305,8 +362,8 @@ def test_luby_batch_kernel_matches_per_vertex(index, seed):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_matching_batch_kernel_matches_per_vertex(index, seed):
     graph = ENGINE_PARITY_GRAPHS[index]
-    reference = matching_vertex_program(graph, seed=seed, batched=False)
-    batched = matching_vertex_program(graph, seed=seed, batched=True)
+    reference = matching_per_vertex(graph, seed=seed)
+    batched = matching_vertex_program(graph, seed=seed)
     assert batched.matching == reference.matching
     assert batched.supersteps == reference.supersteps
     assert batched.rounds == reference.rounds
@@ -322,9 +379,9 @@ def test_engine_memory_enforcement_matches_in_batch_mode():
 
     graph = complete_graph(20)
     with pytest.raises(MemoryExceededError) as per_vertex:
-        luby_vertex_program(graph, seed=0, batched=False)
+        luby_per_vertex(graph, seed=0)
     with pytest.raises(MemoryExceededError) as batched:
-        luby_vertex_program(graph, seed=0, batched=True)
+        luby_vertex_program(graph, seed=0)
     assert str(batched.value) == str(per_vertex.value)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.congested_clique.mis import congested_clique_mis
 from repro.congested_clique.model import IDS_PER_MESSAGE, CongestedClique
-from repro.congested_clique.routing import LENZEN_ROUND_COST, lenzen_route
+from repro.congested_clique.routing import LENZEN_ROUND_COST, lenzen_route_arrays
 from repro.core.config import MISConfig
 from repro.graph.generators import complete_graph, gnp_random_graph, star_graph
 from repro.graph.graph import Graph
@@ -21,23 +21,23 @@ class TestModel:
 
     def test_point_to_point_bandwidth(self):
         clique = CongestedClique(3)
-        clique.round_of_messages([(0, 1, IDS_PER_MESSAGE)])
+        clique.round_of_messages_array([0], [1], num_ids=IDS_PER_MESSAGE)
         assert clique.rounds == 1
 
     def test_bandwidth_violation_raises(self):
         clique = CongestedClique(3)
         with pytest.raises(ProtocolError):
-            clique.round_of_messages([(0, 1, IDS_PER_MESSAGE + 1)])
+            clique.round_of_messages_array([0], [1], num_ids=IDS_PER_MESSAGE + 1)
 
     def test_pair_aggregation(self):
         clique = CongestedClique(3)
-        with pytest.raises(ProtocolError):
-            clique.round_of_messages([(0, 1, 2), (0, 1, 1)])
+        with pytest.raises(ProtocolError, match="pair"):
+            clique.round_of_messages_array([0] * 3, [1] * 3, num_ids=1)
 
     def test_invalid_player(self):
         clique = CongestedClique(2)
         with pytest.raises(ProtocolError):
-            clique.round_of_messages([(0, 5, 1)])
+            clique.round_of_messages_array([0], [5])
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -47,29 +47,23 @@ class TestModel:
 class TestLenzenRouting:
     def test_routes_and_charges_constant(self):
         clique = CongestedClique(4)
-        inboxes = lenzen_route(
-            clique, [(0, 1, "a"), (2, 1, "b"), (3, 0, "c")]
-        )
+        lenzen_route_arrays(clique, [0, 2, 3], [1, 1, 0])
         assert clique.rounds == LENZEN_ROUND_COST
-        assert sorted(inboxes[1]) == ["a", "b"]
-        assert inboxes[0] == ["c"]
 
     def test_volume_precondition_send(self):
         clique = CongestedClique(2)
-        messages = [(0, 1, i) for i in range(3)]  # 3 > n = 2
         with pytest.raises(ProtocolError, match="sends"):
-            lenzen_route(clique, messages)
+            lenzen_route_arrays(clique, [0, 0, 0], [1, 1, 1])  # 3 > n = 2
 
     def test_volume_precondition_receive(self):
         clique = CongestedClique(3)
-        messages = [(0, 2, 0), (0, 2, 1), (1, 2, 2), (1, 2, 3)]
         with pytest.raises(ProtocolError, match="receives"):
-            lenzen_route(clique, messages)
+            lenzen_route_arrays(clique, [0, 0, 1, 1], [2, 2, 2, 2])
 
     def test_endpoint_validation(self):
         clique = CongestedClique(2)
         with pytest.raises(ProtocolError):
-            lenzen_route(clique, [(0, 9, "x")])
+            lenzen_route_arrays(clique, [0], [9])
 
 
 class TestCCMIS:

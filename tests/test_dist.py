@@ -1,13 +1,14 @@
 """repro.dist: transports, executor, kernels, and the parity suite.
 
-The load-bearing contract is *byte-identity*: for a fixed seed, every MPC
-solver must produce the same solution, the same round count, and the same
-communication/memory audit whether it runs fully in-process
-(``executor=None``), through the in-process reference transport
-(``executor="local"``), or partitioned over real worker processes
-(``executor="parallel"``).  The fault tests pin the other contract: a
-worker failure of any kind surfaces as :class:`DistExecutionError`, never
-a hang.
+The load-bearing contract is *byte-identity*: for a fixed seed, every
+solver that accepts an executor must produce the same solution, the same
+round count, and the same communication/memory audit whether its kernels
+run in process (``executor=None``, one inline worker), partitioned over
+several in-process workers, or over real worker processes
+(``executor="parallel"``).  The absolute reference is the seeded pins in
+``tests/test_backend_parity.py``.  Entries without executor support must
+reject one.  The fault tests pin the other contract: a worker failure of
+any kind surfaces as :class:`DistExecutionError`, never a hang.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.dist import (
     DistExecutor,
     DistTimeoutError,
     LocalTransport,
-    MPITransport,
     MultiprocessTransport,
     resolve_executor,
 )
@@ -151,10 +151,6 @@ class TestMultiprocessTransport:
             with pytest.raises(ValueError, match="already installed"):
                 transport.install("s", {"x": np.arange(3)})
 
-    def test_mpi_transport_is_a_documented_stub(self):
-        with pytest.raises(NotImplementedError, match="DISTRIBUTED.md"):
-            MPITransport(2)
-
 
 # ---------------------------------------------------------------------------
 # pool plumbing (shared with repro.api.batch)
@@ -252,8 +248,8 @@ class TestResolveExecutor:
             resolve_executor(None, workers=2)
 
     def test_string_kinds_are_owned(self):
-        executor, owned = resolve_executor("local", workers=3)
-        assert owned and executor.workers == 3 and not executor.distributed
+        executor, owned = resolve_executor("parallel", workers=1)
+        assert owned and executor.workers == 1 and executor.kind == "parallel"
         executor.close()
 
     def test_instance_is_not_owned(self):
@@ -263,28 +259,27 @@ class TestResolveExecutor:
             with pytest.raises(ValueError, match="conflicts"):
                 resolve_executor(instance, workers=4)
 
-    def test_unknown_string_raises(self):
+    @pytest.mark.parametrize("kind", ["cluster", "local", "mpi"])
+    def test_unknown_string_raises(self, kind):
         with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("cluster")
+            resolve_executor(kind)
 
     def test_wrong_type_raises(self):
         with pytest.raises(TypeError):
             resolve_executor(42)
 
-    def test_mpi_is_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            resolve_executor("mpi")
-
     def test_bad_worker_count_raises(self):
         with pytest.raises(ValueError, match=">= 1"):
-            resolve_executor("local", workers=0)
+            resolve_executor("parallel", workers=0)
 
 
 # ---------------------------------------------------------------------------
-# parity suite: distributed == sequential, byte for byte
+# parity suite: every placement of the kernels gives the same bytes
 # ---------------------------------------------------------------------------
 
 MPC_TASKS = [t for t in registry.tasks() if "mpc" in registry.backends(t)]
+EXECUTOR_TASKS = [t for t in MPC_TASKS if registry.get(t, "mpc").supports_executor]
+NO_EXECUTOR_TASKS = [t for t in MPC_TASKS if t not in EXECUTOR_TASKS]
 PARITY_CASES = [(n, seed) for n in (80, 150) for seed in (3, 11)]
 
 
@@ -307,24 +302,58 @@ def report_snapshot(report):
 
 
 class TestParity:
-    @pytest.mark.parametrize("task", MPC_TASKS)
+    def test_executor_support_is_the_matching_family(self):
+        assert set(EXECUTOR_TASKS) == {
+            "fractional_matching",
+            "matching",
+            "vertex_cover",
+            "one_plus_eps_matching",
+        }
+        assert set(NO_EXECUTOR_TASKS) == {"mis", "weighted_matching"}
+
+    @pytest.mark.parametrize("task", EXECUTOR_TASKS)
     @pytest.mark.parametrize("n,seed", PARITY_CASES)
-    def test_kernel_path_matches_sequential(self, task, n, seed):
-        # LocalTransport with distributed=True forces the partitioned
-        # kernel path in-process: full logic coverage without process
-        # startup per case.
+    def test_partitioned_kernels_match_in_process(self, task, n, seed):
+        # Two in-process workers partition the kernel phases the way a
+        # pool would, without process startup per case.
         graph = _graph_for(task, n)
         baseline = report_snapshot(
             solve(task, graph, backend="mpc", seed=seed)
         )
-        with DistExecutor(LocalTransport(2), distributed=True) as executor:
-            distributed = report_snapshot(
+        with DistExecutor(LocalTransport(2)) as executor:
+            partitioned = report_snapshot(
                 solve(task, graph, backend="mpc", seed=seed, executor=executor)
             )
-        assert distributed == baseline
+        assert partitioned == baseline
 
-    @pytest.mark.parametrize("task", MPC_TASKS)
-    def test_parallel_processes_match_sequential(self, task):
+    @pytest.mark.parametrize("task", EXECUTOR_TASKS)
+    def test_one_worker_executor_matches_default(self, task):
+        # executor=None runs the kernels through DistExecutor(LocalTransport(1));
+        # passing that executor explicitly must change nothing.
+        graph = _graph_for(task, 120)
+        baseline = report_snapshot(solve(task, graph, backend="mpc", seed=7))
+        with DistExecutor(LocalTransport(1)) as executor:
+            explicit = report_snapshot(
+                solve(task, graph, backend="mpc", seed=7, executor=executor)
+            )
+        assert explicit == baseline
+
+    @pytest.mark.parametrize("task", NO_EXECUTOR_TASKS)
+    def test_entries_without_kernels_reject_executor(self, task):
+        with DistExecutor(LocalTransport(2)) as executor:
+            with pytest.raises(ValueError, match="does not support") as info:
+                solve(
+                    task,
+                    _graph_for(task, 40),
+                    backend="mpc",
+                    seed=3,
+                    executor=executor,
+                )
+        for accepting in EXECUTOR_TASKS:
+            assert f"{accepting}/mpc" in str(info.value)
+
+    @pytest.mark.parametrize("task", EXECUTOR_TASKS)
+    def test_parallel_processes_match_in_process(self, task):
         graph = _graph_for(task, 120)
         baseline = report_snapshot(
             solve(task, graph, backend="mpc", seed=5)
@@ -341,29 +370,11 @@ class TestParity:
         )
         assert parallel == baseline
 
-    def test_local_executor_matches_sequential(self):
-        graph = gnp_random_graph(150, 0.05, seed=7)
-        baseline = report_snapshot(
-            solve("fractional_matching", graph, backend="mpc", seed=5)
-        )
-        local = report_snapshot(
-            solve(
-                "fractional_matching",
-                graph,
-                backend="mpc",
-                seed=5,
-                executor="local",
-            )
-        )
-        assert local == baseline
-
     def test_worker_count_invariance(self):
         graph = gnp_random_graph(200, 0.04, seed=9)
         snapshots = []
         for workers in (1, 2, 3):
-            with DistExecutor(
-                LocalTransport(workers), distributed=True
-            ) as executor:
+            with DistExecutor(LocalTransport(workers)) as executor:
                 snapshots.append(
                     report_snapshot(
                         solve(
@@ -533,41 +544,68 @@ class TestFacadeExecutor:
         info = report.extras["executor"]
         assert info["kind"] == "parallel"
         assert info["workers"] == 2
-        assert info["distributed"] is True
+        assert "distributed" not in info
         phases = {w["phase"] for w in info["phase_walls"]}
         assert "direct-simulation" in phases
 
     def test_local_executor_metadata(self):
         graph = gnp_random_graph(80, 0.1, seed=7)
-        report = solve(
-            "fractional_matching", graph, backend="mpc", seed=5, executor="local"
-        )
+        with DistExecutor(LocalTransport(2), kind="inline") as executor:
+            report = solve(
+                "fractional_matching",
+                graph,
+                backend="mpc",
+                seed=5,
+                executor=executor,
+            )
         info = report.extras["executor"]
-        assert info["kind"] == "local" and info["distributed"] is False
+        assert info["kind"] == "inline" and info["workers"] == 2
+        assert not info["supervised"]
+
+    def test_executor_free_solve_records_no_executor(self):
+        graph = gnp_random_graph(80, 0.1, seed=7)
+        report = solve("fractional_matching", graph, backend="mpc", seed=5)
+        assert "executor" not in report.extras
 
     def test_non_mpc_backend_rejects_executor(self):
         graph = gnp_random_graph(40, 0.1, seed=7)
         with pytest.raises(ValueError, match="does not support an executor"):
-            solve("mis", graph, backend="greedy", executor="local")
+            solve("mis", graph, backend="greedy", executor="parallel")
 
     def test_workers_without_executor_rejected(self):
         graph = gnp_random_graph(40, 0.1, seed=7)
         with pytest.raises(ValueError, match="requires an executor"):
             solve("mis", graph, backend="mpc", workers=2)
 
-    def test_unknown_executor_rejected(self):
+    @pytest.mark.parametrize("kind", ["cloud", "local", "mpi"])
+    def test_unknown_executor_rejected(self, kind):
         graph = gnp_random_graph(40, 0.1, seed=7)
         with pytest.raises(ValueError, match="unknown executor"):
-            solve("mis", graph, backend="mpc", executor="cloud")
+            solve("fractional_matching", graph, backend="mpc", executor=kind)
 
-    def test_mpi_executor_not_implemented(self):
-        graph = gnp_random_graph(40, 0.1, seed=7)
-        with pytest.raises(NotImplementedError):
-            solve("mis", graph, backend="mpc", executor="mpi")
+    @pytest.mark.parametrize("task", NO_EXECUTOR_TASKS)
+    def test_rejection_builds_no_executor(self, task, monkeypatch):
+        # Support is checked before the executor is resolved, so rejecting
+        # a string kind never spawns a worker pool.
+        import repro.api.facade as facade
+
+        def no_resolve(*args, **kwargs):
+            raise AssertionError("executor resolved for a rejected entry")
+
+        monkeypatch.setattr(facade, "resolve_executor", no_resolve)
+        with pytest.raises(ValueError, match="does not support"):
+            solve(
+                task,
+                _graph_for(task, 40),
+                backend="mpc",
+                seed=3,
+                executor="parallel",
+                workers=2,
+            )
 
     def test_executor_instance_reused_across_solves(self):
         graph = gnp_random_graph(80, 0.1, seed=7)
-        with DistExecutor(LocalTransport(2), distributed=True) as executor:
+        with DistExecutor(LocalTransport(2)) as executor:
             first = solve(
                 "fractional_matching",
                 graph,
@@ -610,6 +648,28 @@ class TestFacadeExecutor:
         assert payload["extras"]["executor"]["workers"] == 2
 
 
+    @pytest.mark.parametrize("kind", ["local", "mpi"])
+    def test_cli_rejects_removed_executor_kinds(self, kind, capsys):
+        from repro.api.__main__ import main as cli_main
+
+        with pytest.raises(SystemExit) as info:
+            cli_main(
+                [
+                    "solve",
+                    "--task",
+                    "fractional_matching",
+                    "--backend",
+                    "mpc",
+                    "--graph",
+                    "gnp:n=40,p=0.1",
+                    "--executor",
+                    kind,
+                ]
+            )
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # kernels registry
 # ---------------------------------------------------------------------------
@@ -625,10 +685,10 @@ class TestKernelRegistry:
             "matching.machines",
             "matching.direct_init",
             "matching.direct_step",
-            "mis.prefix_greedy",
-            "weighted.filtering",
         ):
             assert required in names
+        assert "mis.prefix_greedy" not in names
+        assert "weighted.filtering" not in names
 
     def test_unknown_kernel_raises_with_listing(self):
         with pytest.raises(KeyError, match="registered"):

@@ -350,6 +350,8 @@ class TestSupervisedTransport:
 # ---------------------------------------------------------------------------
 
 MPC_TASKS = [t for t in registry.tasks() if "mpc" in registry.backends(t)]
+EXECUTOR_TASKS = [t for t in MPC_TASKS if registry.get(t, "mpc").supports_executor]
+NO_EXECUTOR_TASKS = [t for t in MPC_TASKS if t not in EXECUTOR_TASKS]
 FAULT_KINDS_GRID = ["crash", "delay", "corrupt", "kernel_raise", "exhaust"]
 _SEED = 5
 
@@ -357,13 +359,10 @@ _BASELINES = {}
 
 
 def _graph_for(task):
-    # Every task must actually *dispatch* distributed phases, or no
-    # fault can fire: mis needs the dense regime (sparse graphs skip the
-    # rank-prefix phases entirely), the rest dispatch at n=80, p=0.1.
+    # Every executor task dispatches kernel phases at n=80, p=0.1, so
+    # every fault has a phase to fire on.
     if task == "weighted_matching":
         return random_weighted_graph(80, 0.1, seed=7)
-    if task == "mis":
-        return gnp_random_graph(60, 0.5, seed=7)
     return gnp_random_graph(80, 0.1, seed=7)
 
 
@@ -415,7 +414,7 @@ def _grid_cell(kind):
 
 class TestChaosConformance:
     @pytest.mark.parametrize("kind", FAULT_KINDS_GRID)
-    @pytest.mark.parametrize("task", MPC_TASKS)
+    @pytest.mark.parametrize("task", EXECUTOR_TASKS)
     def test_recovered_run_matches_sequential(self, task, kind):
         plan, policy = _grid_cell(kind)
         report = solve(
@@ -440,6 +439,23 @@ class TestChaosConformance:
             )
         assert report.extras["executor"]["supervised"] is True
         assert report_snapshot(report) == _baseline(task)
+
+    @pytest.mark.parametrize("task", NO_EXECUTOR_TASKS)
+    def test_entries_without_kernels_reject_fault_knobs(self, task):
+        # No kernel phase to fault: the executor (and with it the fault
+        # plan) is rejected before any worker pool starts.
+        plan, policy = _grid_cell("crash")
+        with pytest.raises(ValueError, match="does not support an executor"):
+            solve(
+                task,
+                _graph_for(task),
+                backend="mpc",
+                seed=_SEED,
+                executor="parallel",
+                workers=2,
+                fault_policy=policy,
+                fault_plan=plan,
+            )
 
     def test_seeded_random_plan_recovers_with_parity(self):
         # The seeded generator is the fuzz surface: whatever mix of
@@ -471,15 +487,14 @@ class TestFaultKnobs:
             solve("mis", graph, backend="mpc", fault_policy=True)
         with pytest.raises(ValueError, match="parallel"):
             solve(
-                "mis",
+                "fractional_matching",
                 graph,
                 backend="mpc",
-                executor="local",
                 fault_plan={"specs": []},
             )
 
     def test_fault_policy_rejects_existing_executor_instance(self):
-        with DistExecutor(LocalTransport(2), distributed=True) as executor:
+        with DistExecutor(LocalTransport(2)) as executor:
             with pytest.raises(ValueError, match="rewrap"):
                 resolve_executor(executor, fault_policy=True)
 

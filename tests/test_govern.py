@@ -363,11 +363,14 @@ class TestFacadeGovernance:
         assert "governance" not in report.extras
 
     def test_executor_rejected(self):
-        with pytest.raises(ValueError, match="governance requires executor"):
-            solve(
-                "mis", gnp_random_graph(32, 0.1, seed=0), backend="mpc",
-                seed=0, governance=True, executor="local",
-            )
+        from repro.dist import DistExecutor, LocalTransport
+
+        with DistExecutor(LocalTransport(2)) as executor:
+            with pytest.raises(ValueError, match="governance requires executor"):
+                solve(
+                    "matching", gnp_random_graph(32, 0.1, seed=0),
+                    backend="mpc", seed=0, governance=True, executor=executor,
+                )
 
     def test_governed_weighted_matching(self):
         from repro.verify.differential import attach_weights

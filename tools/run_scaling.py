@@ -1,14 +1,16 @@
-"""Scaling benchmark for ``repro.dist``: parallel executor vs local.
+"""Scaling benchmark for ``repro.dist``: parallel executor vs in-process.
 
-Times the MPC solvers through the façade with ``executor="local"`` (the
-sequential in-process reference) and ``executor="parallel"`` at several
-worker counts, on the same deterministic graph ladder the other perf
-suites use, and emits ``BENCH_dist.json`` (suite ``"dist"``; cells keyed
-``task/family/n/mode`` with mode ``local`` or ``parallel-wK``).
+Times the MPC solvers through the façade with ``executor=None`` (the
+kernels run in process on one inline worker) and ``executor="parallel"``
+at several worker counts, on the same deterministic graph ladder the
+other perf suites use, and emits ``BENCH_dist.json`` (suite ``"dist"``;
+cells keyed ``task/family/n/mode`` with mode ``local`` or
+``parallel-wK``).
 
 Every timed parallel run is also a parity check: the solution and round
-count must match the local run byte-for-byte, so the committed speedup
-table doubles as evidence that the distribution is output-preserving.
+count must match the in-process run byte-for-byte, so the committed
+speedup table doubles as evidence that the distribution is
+output-preserving.
 
 Interpret results against ``environment.cpu_count`` in the output: on a
 single-core host, ``parallel-wK`` for K > 1 only adds scheduling
@@ -97,14 +99,17 @@ def run_cell(
 
     rows: List[Dict[str, Any]] = []
     local_reference = _snapshot(
-        solve(task, graph, backend="mpc", seed=SOLVE_SEED, executor="local")
+        solve(task, graph, backend="mpc", seed=SOLVE_SEED)
     )
-    local_seconds = timed("local")
+    local_seconds = timed(None)
     rows.append(
         {
             "task": task,
             "family": family,
             "n": n,
+            # The in-process baseline keeps the "local" label so committed
+            # BENCH_dist.json cells and the CI --normalize/--require-cell
+            # keys (".../local") still resolve.
             "mode": "local",
             "workers": 0,
             "seconds": local_seconds,
