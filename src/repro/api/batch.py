@@ -33,6 +33,7 @@ from typing import (
 
 from repro.api.facade import GraphLike, solve
 from repro.api.report import RunReport
+from repro.utils.record import iter_jsonl
 
 PathLike = Union[str, os.PathLike]
 
@@ -448,7 +449,4 @@ def read_jsonl(path: PathLike) -> List[RunReport]:
     report is returned; a record failing to parse *mid-file* raises a
     line-numbered :class:`~repro.utils.jsonl.JSONLCorruptionError`.
     """
-    from repro.utils.jsonl import parse_jsonl_lines
-
-    with open(path, "r", encoding="utf-8") as stream:
-        return list(parse_jsonl_lines(stream, RunReport.from_json, source=path))
+    return list(iter_jsonl(path, RunReport.from_json))

@@ -12,11 +12,12 @@ analyzed offline.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Optional, Set, Tuple
 
 import numpy as np
+
+from repro.utils.record import Record
 
 # Solution kinds determine the canonical JSON shape of ``solution``.
 VERTEX_SET = "vertex_set"  # sorted list of ints
@@ -28,9 +29,7 @@ _SOLUTION_KINDS = (VERTEX_SET, EDGE_SET, FRACTIONAL)
 # Serialization schema of RunReport.to_dict/to_json.  Version 1 is the
 # pre-verification shape (no ``schema``/``total_comm_words``/
 # ``verification`` keys); version 2 added those fields.  ``from_dict``
-# accepts every listed version and rejects anything else, so JSONL written
-# by a future incompatible layout fails loudly instead of loading with
-# silently-dropped fields.
+# accepts every listed version and upgrades it in memory.
 SCHEMA_VERSION = 2
 _SUPPORTED_SCHEMAS = (1, 2)
 
@@ -57,7 +56,7 @@ def canonical_solution(kind: str, solution: Any) -> Any:
 
 
 @dataclass(frozen=True)
-class RunReport:
+class RunReport(Record):
     """One façade run, fully described and serializable.
 
     Attributes
@@ -125,17 +124,17 @@ class RunReport:
     extras: Dict[str, Any] = field(default_factory=dict)
     schema: int = SCHEMA_VERSION
 
+    family = "RunReport"
+    schemas = _SUPPORTED_SCHEMAS
+    missing_schema = 1  # only version-1 rows lack the key
+
     def __post_init__(self) -> None:
         if self.solution_kind not in _SOLUTION_KINDS:
             raise ValueError(
                 f"solution_kind must be one of {_SOLUTION_KINDS}, "
                 f"got {self.solution_kind!r}"
             )
-        if self.schema not in _SUPPORTED_SCHEMAS:
-            raise ValueError(
-                f"unsupported RunReport schema version {self.schema!r}; "
-                f"supported: {_SUPPORTED_SCHEMAS}"
-            )
+        super().__post_init__()
 
     # -- solution accessors -------------------------------------------------
 
@@ -174,81 +173,23 @@ class RunReport:
 
     # -- serialization ------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A plain-dict snapshot, safe for ``json.dumps``."""
-        return {
-            "task": self.task,
-            "backend": self.backend,
-            "n": self.n,
-            "num_edges": self.num_edges,
-            "solution_kind": self.solution_kind,
-            "solution": self.solution,
-            "metrics": dict(self.metrics),
-            "rounds": self.rounds,
-            "max_machine_words": self.max_machine_words,
-            "seed": self.seed,
-            "config": dict(self.config),
-            "wall_time_s": self.wall_time_s,
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "total_comm_words": self.total_comm_words,
-            "verification": dict(self.verification),
-            "extras": dict(self.extras),
-            "schema": self.schema,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialize to a JSON string (one line by default, for JSONL)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunReport":
         """Rebuild a report from :meth:`to_dict` output.
 
-        Payloads without a ``schema`` key are version-1 rows (pre-dating
-        the field); any version outside :data:`_SUPPORTED_SCHEMAS` raises
-        ``ValueError`` rather than deserializing a shape this code does
-        not understand.
+        Older payloads are upgraded in memory: absent fields take their
+        defaults and the solution is coerced to its canonical element
+        types, so the loaded object is always current-shape.
         """
-        schema = payload.get("schema", 1)
-        if schema not in _SUPPORTED_SCHEMAS:
-            raise ValueError(
-                f"unsupported RunReport schema version {schema!r}; "
-                f"supported: {_SUPPORTED_SCHEMAS}"
-            )
-        solution_kind = payload["solution_kind"]
-        raw = payload["solution"]
-        if solution_kind == VERTEX_SET:
+        report = super().from_dict(payload)
+        raw = report.solution
+        if report.solution_kind == VERTEX_SET:
             solution = [int(v) for v in raw]
-        elif solution_kind == EDGE_SET:
+        elif report.solution_kind == EDGE_SET:
             solution = [[int(u), int(v)] for u, v in raw]
         else:
             solution = [[int(u), int(v), float(x)] for u, v, x in raw]
-        return cls(
-            task=payload["task"],
-            backend=payload["backend"],
-            n=int(payload["n"]),
-            num_edges=int(payload["num_edges"]),
-            solution_kind=solution_kind,
-            solution=solution,
-            metrics=dict(payload.get("metrics", {})),
-            rounds=int(payload.get("rounds", 0)),
-            max_machine_words=int(payload.get("max_machine_words", 0)),
-            seed=payload.get("seed"),
-            config=dict(payload.get("config", {})),
-            wall_time_s=float(payload.get("wall_time_s", 0.0)),
-            peak_rss_bytes=int(payload.get("peak_rss_bytes", 0)),
-            total_comm_words=int(payload.get("total_comm_words", 0)),
-            verification=dict(payload.get("verification", {})),
-            extras=dict(payload.get("extras", {})),
-            # Older payloads are upgraded in memory: absent fields take
-            # their defaults, so the loaded object is always current-shape.
-            schema=SCHEMA_VERSION,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        """Rebuild a report from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
+        return replace(report, solution=solution, schema=SCHEMA_VERSION)
 
     def summary_row(self) -> Dict[str, Any]:
         """A compact row for experiment tables (solution elided)."""

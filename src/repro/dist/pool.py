@@ -49,21 +49,6 @@ def mp_context(start_method: Optional[str] = None):
     return multiprocessing.get_context(start_method)
 
 
-def object_pool(
-    processes: int,
-    objects: List[Any],
-    start_method: Optional[str] = None,
-):
-    """A ``multiprocessing.Pool`` whose workers hold ``objects``.
-
-    The table is shipped once per worker via the initializer; tasks refer
-    to entries by index through :func:`worker_object`.
-    """
-    return mp_context(start_method).Pool(
-        processes, initializer=_install_objects, initargs=(objects,)
-    )
-
-
 def object_executor(
     processes: int,
     objects: List[Any],
@@ -71,8 +56,9 @@ def object_executor(
 ):
     """A ``ProcessPoolExecutor`` whose workers hold ``objects``.
 
-    Same ship-once initializer pattern as :func:`object_pool`, but on
-    ``concurrent.futures`` — which, unlike ``multiprocessing.Pool``,
+    The table is shipped once per worker via the initializer; tasks refer
+    to entries by index through :func:`worker_object`.  Built on
+    ``concurrent.futures`` because, unlike ``multiprocessing.Pool``, it
     surfaces a worker process dying mid-task as a prompt
     ``BrokenProcessPool`` on the affected futures instead of hanging the
     result iterator.  :func:`repro.api.batch.solve_many` builds its

@@ -17,9 +17,9 @@ The builder never holds more than O(n + chunk) in RAM:
 
 ``indices.npy`` is finalized by writing the npy header for the
 now-known total length and streaming the raw column data after it;
-``indptr.npy`` and finally ``header.json`` follow, each with the atomic
-tempfile + fsync + ``os.replace`` discipline — a crash mid-build leaves
-no loadable graph (no header), never a torn one.
+``indptr.npy`` and finally ``header.json`` follow, each written through
+:func:`repro.utils.record.atomic_write` — a crash mid-build leaves no
+loadable graph (no header), never a torn one.
 
 The output is **byte-identical** to
 ``CSRGraph.from_edge_array(n, edges)`` on the same edge multiset: both
@@ -44,6 +44,7 @@ from repro.ooc.format import (
     _atomic_save_array,
     write_header,
 )
+from repro.utils.record import atomic_write
 
 # Source rows per bucket: 2^19 rows * avg-degree * 2 directions of int64
 # pairs resident during the assemble pass (~160 MB at average degree 20).
@@ -169,28 +170,17 @@ def _assemble_bucket(
 
 def _finalize_indices(raw_path: str, final_path: str, total_slots: int) -> None:
     """Write ``indices.npy``: npy header + streamed raw data, atomically."""
-    directory = os.path.dirname(final_path) or "."
-    descriptor, temp_path = tempfile.mkstemp(
-        prefix=os.path.basename(final_path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(descriptor, "wb") as out:
-            npy_format.write_array_header_1_0(
-                out,
-                {
-                    "descr": "<i8",
-                    "fortran_order": False,
-                    "shape": (int(total_slots),),
-                },
-            )
-            with open(raw_path, "rb") as source:
-                shutil.copyfileobj(source, out, 1 << 24)
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(temp_path, final_path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
+
+    def write_body(out: IO[bytes]) -> None:
+        npy_format.write_array_header_1_0(
+            out,
+            {
+                "descr": "<i8",
+                "fortran_order": False,
+                "shape": (int(total_slots),),
+            },
+        )
+        with open(raw_path, "rb") as source:
+            shutil.copyfileobj(source, out, 1 << 24)
+
+    atomic_write(final_path, write_body)

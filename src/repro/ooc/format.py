@@ -6,11 +6,10 @@ A persisted graph is a directory of three files::
     indptr.npy    int64, length n + 1
     indices.npy   int64, length 2m (rows sorted ascending, both directions)
 
-Every file is written with the snapshot discipline of
-:mod:`repro.serve.snapshot`: same-directory tempfile + flush + fsync +
-``os.replace``.  Because ``header.json`` lands last, a reader either
-finds a complete, self-consistent graph or no graph at all — a build
-crash can never leave a loadable torn state.
+Every file is written with :func:`repro.utils.record.atomic_write`, the
+library's one atomic writer.  Because ``header.json`` lands last, a
+reader either finds a complete, self-consistent graph or no graph at
+all — a build crash can never leave a loadable torn state.
 
 :class:`MMapCSRGraph` opens ``indices.npy`` with
 ``np.load(mmap_mode="r")`` and keeps only ``indptr`` (O(n)) resident.
@@ -27,15 +26,14 @@ concatenation are exact and associative).
 
 from __future__ import annotations
 
-import json
 import mmap as _mmap
 import os
-import tempfile
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph, MaskLike, gather_rows
+from repro.utils.record import atomic_write, read_json, write_json
 
 OOC_SCHEMA_VERSION = 1
 _SUPPORTED_OOC_SCHEMAS = (1,)
@@ -50,33 +48,8 @@ DEFAULT_CHUNK_SLOTS = 4_000_000
 DEFAULT_CHUNK_ROWS = 262_144
 
 
-def _atomic_replace(path: str, write_body) -> None:
-    """Write a file atomically: same-dir tempfile + fsync + ``os.replace``."""
-    directory = os.path.dirname(path) or "."
-    descriptor, temp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(descriptor, "wb") as stream:
-            write_body(stream)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-
-
 def _atomic_save_array(path: str, array: np.ndarray) -> None:
-    _atomic_replace(path, lambda stream: np.save(stream, array))
-
-
-def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    _atomic_replace(path, lambda stream: stream.write(body))
+    atomic_write(path, lambda stream: np.save(stream, array))
 
 
 def write_header(
@@ -89,7 +62,7 @@ def write_header(
         "num_edges": int(num_edges),
         "dtype": "<i8",
     }
-    _atomic_write_json(os.path.join(os.fspath(directory), HEADER_NAME), payload)
+    write_json(os.path.join(os.fspath(directory), HEADER_NAME), payload)
     return payload
 
 
@@ -102,16 +75,11 @@ def read_header(directory: Any) -> Dict[str, Any]:
             f"no out-of-core graph at {directory!r} (missing {HEADER_NAME}; "
             "an interrupted build leaves no header on purpose)"
         )
-    with open(path, "r", encoding="utf-8") as stream:
-        payload = json.load(stream)
-    schema = payload.get("schema")
-    if schema not in _SUPPORTED_OOC_SCHEMAS:
-        raise ValueError(
-            f"unsupported ooc graph schema {schema!r}; "
-            f"supported: {_SUPPORTED_OOC_SCHEMAS}"
-        )
+    payload = read_json(path, "ooc graph", _SUPPORTED_OOC_SCHEMAS)
     for field in ("num_vertices", "num_edges"):
-        if not isinstance(payload.get(field), int) or payload[field] < 0:
+        value = payload.get(field)
+        # bool is an int subclass: ``true`` must not load as n = 1.
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ValueError(f"ooc header field {field!r} invalid: {payload!r}")
     return payload
 

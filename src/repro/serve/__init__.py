@@ -8,8 +8,9 @@ answers queries against the maintained solution without re-solving.
 
 Layers, bottom up:
 
-* :mod:`repro.serve.snapshot` — atomic per-tenant snapshot files
-  (temp-file + fsync + ``os.replace``): the crash-safety primitive.
+* :mod:`repro.serve.snapshot` — atomic per-tenant snapshot files,
+  written through :func:`repro.utils.record.write_json`: the
+  crash-safety primitive.
 * :mod:`repro.serve.session` — :class:`TenantSession`: one maintained
   graph, its ingest queue with coalescing backpressure, the epoch
   record log, and exact snapshot/restore.

@@ -12,18 +12,18 @@ schemas, like its siblings.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.stream.driver import EpochRecord
+from repro.utils.record import Record
 
 SERVE_SCHEMA_VERSION = 1
 _SUPPORTED_SERVE_SCHEMAS = (1,)
 
 
 @dataclass(frozen=True)
-class TenantReport:
+class TenantReport(Record):
     """One tenant session's full story: config, epochs, final solution."""
 
     tenant: str
@@ -43,39 +43,6 @@ class TenantReport:
         """Whether every recorded epoch's checks passed."""
         return all(record.ok for record in self.epochs)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "tenant": self.tenant,
-            "task": self.task,
-            "backend": self.backend,
-            "seed": self.seed,
-            "n_final": self.n_final,
-            "m_final": self.m_final,
-            "initial": dict(self.initial),
-            "epochs": [record.to_dict() for record in self.epochs],
-            "solution": self.solution,
-            "counters": dict(self.counters),
-            "config": dict(self.config),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "TenantReport":
-        return cls(
-            tenant=payload["tenant"],
-            task=payload["task"],
-            backend=payload["backend"],
-            seed=payload.get("seed"),
-            n_final=int(payload["n_final"]),
-            m_final=int(payload["m_final"]),
-            initial=dict(payload.get("initial", {})),
-            epochs=[
-                EpochRecord.from_dict(item) for item in payload.get("epochs", [])
-            ],
-            solution=payload["solution"],
-            counters=dict(payload.get("counters", {})),
-            config=dict(payload.get("config", {})),
-        )
-
     def summary_row(self) -> Dict[str, Any]:
         """A compact row for tables (solution elided)."""
         return {
@@ -94,19 +61,16 @@ class TenantReport:
 
 
 @dataclass(frozen=True)
-class ServeReport:
+class ServeReport(Record):
     """A full service run: every tenant's report plus the service config."""
 
     tenants: List[TenantReport]
     config: Dict[str, Any] = field(default_factory=dict)
     schema: int = SERVE_SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
-        if self.schema not in _SUPPORTED_SERVE_SCHEMAS:
-            raise ValueError(
-                f"unsupported ServeReport schema version {self.schema!r}; "
-                f"supported: {_SUPPORTED_SERVE_SCHEMAS}"
-            )
+    family = "ServeReport"
+    schemas = _SUPPORTED_SERVE_SCHEMAS
+    missing_schema = SERVE_SCHEMA_VERSION
 
     @property
     def ok(self) -> bool:
@@ -118,34 +82,3 @@ class ServeReport:
             if report.tenant == name:
                 return report
         raise KeyError(f"no tenant {name!r} in this report")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "tenants": [tenant.to_dict() for tenant in self.tenants],
-            "config": dict(self.config),
-            "schema": self.schema,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ServeReport":
-        schema = payload.get("schema", SERVE_SCHEMA_VERSION)
-        if schema not in _SUPPORTED_SERVE_SCHEMAS:
-            raise ValueError(
-                f"unsupported ServeReport schema version {schema!r}; "
-                f"supported: {_SUPPORTED_SERVE_SCHEMAS}"
-            )
-        return cls(
-            tenants=[
-                TenantReport.from_dict(item)
-                for item in payload.get("tenants", [])
-            ],
-            config=dict(payload.get("config", {})),
-            schema=schema,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServeReport":
-        return cls.from_dict(json.loads(text))

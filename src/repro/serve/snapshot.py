@@ -13,19 +13,19 @@ needs to continue the stream *byte-identically*:
   epoch record log, so a resumed run's report covers the whole stream;
 * the session config (task, backend, seed, knobs).
 
-Writes are atomic by construction: the document lands in a temp file in
-the *same directory*, is flushed and fsynced, then ``os.replace``-d over
-the target — a reader (or a restart) sees either the previous complete
-snapshot or the new complete snapshot, never a torn one, no matter when
-the writer was ``kill -9``-ed.
+Writes go through :func:`repro.utils.record.write_json`, the library's
+one atomic writer: a reader (or a restart) sees either the previous
+complete snapshot or the new complete snapshot, never a torn one, no
+matter when the writer was ``kill -9``-ed.  Reads and writes both reject
+a document whose ``schema`` is missing or unknown.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from typing import Any, Dict, List
+
+from repro.utils.record import check_schema, read_json, write_json
 
 SNAPSHOT_SCHEMA_VERSION = 1
 _SUPPORTED_SNAPSHOT_SCHEMAS = (1,)
@@ -53,42 +53,14 @@ def list_snapshots(directory: Any) -> List[str]:
 def write_snapshot(path: Any, payload: Dict[str, Any]) -> None:
     """Atomically persist ``payload`` as JSON at ``path``.
 
-    Temp-file + fsync + ``os.replace`` in the destination directory: a
-    crash at any instant leaves either the old snapshot or the new one.
+    A crash at any instant leaves either the old snapshot or the new one.
     """
+    check_schema("snapshot", payload.get("schema"), _SUPPORTED_SNAPSHOT_SCHEMAS)
     path = os.fspath(path)
-    if payload.get("schema") not in _SUPPORTED_SNAPSHOT_SCHEMAS:
-        raise ValueError(
-            f"snapshot payload must carry schema "
-            f"{_SUPPORTED_SNAPSHOT_SCHEMAS}, got {payload.get('schema')!r}"
-        )
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    descriptor, temp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, sort_keys=True)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    write_json(path, payload)
 
 
 def read_snapshot(path: Any) -> Dict[str, Any]:
     """Load a snapshot document; rejects unknown schema versions."""
-    with open(path, "r", encoding="utf-8") as stream:
-        payload = json.load(stream)
-    schema = payload.get("schema")
-    if schema not in _SUPPORTED_SNAPSHOT_SCHEMAS:
-        raise ValueError(
-            f"unsupported snapshot schema version {schema!r}; "
-            f"supported: {_SUPPORTED_SNAPSHOT_SCHEMAS}"
-        )
-    return payload
+    return read_json(path, "snapshot", _SUPPORTED_SNAPSHOT_SCHEMAS)

@@ -20,7 +20,6 @@ backends are held to.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
@@ -30,13 +29,14 @@ from repro.graph.graph import Graph
 from repro.stream.dynamic import DynamicGraph
 from repro.stream.maintain import EpochStats, Maintainer, make_maintainer
 from repro.stream.updates import EdgeBatch
+from repro.utils.record import REQUIRED_ON_LOAD, Record, iter_jsonl
 
 STREAM_SCHEMA_VERSION = 1
 _SUPPORTED_STREAM_SCHEMAS = (1,)
 
 
 @dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(Record):
     """One epoch of a stream run: what changed, what it cost, what held.
 
     ``verification`` is the serialized per-epoch certificate (empty dict
@@ -45,7 +45,7 @@ class EpochRecord:
     differential check ran this epoch (``None`` otherwise).
     """
 
-    stats: Dict[str, Any]
+    stats: Dict[str, Any] = field(metadata=REQUIRED_ON_LOAD)
     verification: Dict[str, Any] = field(default_factory=dict)
     differential_ratio: Optional[float] = None
 
@@ -57,24 +57,16 @@ class EpochRecord:
         return True
 
     def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"stats": dict(self.stats)}
-        if self.verification:
-            payload["verification"] = dict(self.verification)
-        if self.differential_ratio is not None:
-            payload["differential_ratio"] = self.differential_ratio
+        payload = super().to_dict()
+        if not self.verification:
+            del payload["verification"]
+        if self.differential_ratio is None:
+            del payload["differential_ratio"]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "EpochRecord":
-        return cls(
-            stats=dict(payload["stats"]),
-            verification=dict(payload.get("verification", {})),
-            differential_ratio=payload.get("differential_ratio"),
-        )
 
 
 @dataclass(frozen=True)
-class StreamReport:
+class StreamReport(Record):
     """A full dynamic run, serializable like :class:`RunReport`.
 
     Attributes
@@ -106,12 +98,9 @@ class StreamReport:
     config: Dict[str, Any] = field(default_factory=dict)
     schema: int = STREAM_SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
-        if self.schema not in _SUPPORTED_STREAM_SCHEMAS:
-            raise ValueError(
-                f"unsupported StreamReport schema version {self.schema!r}; "
-                f"supported: {_SUPPORTED_STREAM_SCHEMAS}"
-            )
+    family = "StreamReport"
+    schemas = _SUPPORTED_STREAM_SCHEMAS
+    missing_schema = STREAM_SCHEMA_VERSION
 
     # -- aggregates ---------------------------------------------------------
 
@@ -156,54 +145,6 @@ class StreamReport:
             "wall_time_s": round(self.total_wall_time_s(), 4),
         }
 
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "task": self.task,
-            "backend": self.backend,
-            "n_initial": self.n_initial,
-            "m_initial": self.m_initial,
-            "n_final": self.n_final,
-            "m_final": self.m_final,
-            "initial": dict(self.initial),
-            "epochs": [record.to_dict() for record in self.epochs],
-            "solution": self.solution,
-            "config": dict(self.config),
-            "schema": self.schema,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "StreamReport":
-        schema = payload.get("schema", STREAM_SCHEMA_VERSION)
-        if schema not in _SUPPORTED_STREAM_SCHEMAS:
-            raise ValueError(
-                f"unsupported StreamReport schema version {schema!r}; "
-                f"supported: {_SUPPORTED_STREAM_SCHEMAS}"
-            )
-        return cls(
-            task=payload["task"],
-            backend=payload["backend"],
-            n_initial=int(payload["n_initial"]),
-            m_initial=int(payload["m_initial"]),
-            n_final=int(payload["n_final"]),
-            m_final=int(payload["m_final"]),
-            initial=dict(payload.get("initial", {})),
-            epochs=[
-                EpochRecord.from_dict(item) for item in payload.get("epochs", [])
-            ],
-            solution=payload["solution"],
-            config=dict(payload.get("config", {})),
-            schema=schema,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "StreamReport":
-        return cls.from_dict(json.loads(text))
-
 
 def read_stream_jsonl(path: Any) -> List[StreamReport]:
     """Load every stream report from a JSONL file.
@@ -214,12 +155,7 @@ def read_stream_jsonl(path: Any) -> List[StreamReport]:
     *mid-file* raises a line-numbered
     :class:`~repro.utils.jsonl.JSONLCorruptionError`.
     """
-    from repro.utils.jsonl import parse_jsonl_lines
-
-    with open(path, "r", encoding="utf-8") as stream:
-        return list(
-            parse_jsonl_lines(stream, StreamReport.from_json, source=path)
-        )
+    return list(iter_jsonl(path, StreamReport.from_json))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ name, so the conformance matrix and the perf harness share workloads.
 
 from __future__ import annotations
 
-import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -39,6 +39,7 @@ from repro.graph.generators import barabasi_albert, gnm_random_graph
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.graph.io import PathLike, iter_edge_list, open_text
 from repro.stream.dynamic import decode_keys, encode_edges
+from repro.utils.record import Record, iter_jsonl
 from repro.utils.rng import SeedLike, make_rng
 
 BATCH_SCHEMA_VERSION = 1
@@ -64,8 +65,20 @@ def _canonical_array(edges: Any, label: str) -> np.ndarray:
     return decode_keys(np.unique(encode_edges(array)))
 
 
+def _wire_integers(values: Any, label: str) -> Any:
+    """Refuse wire numbers an int64 cast would bend: bools, fractions, text."""
+    if values is None:
+        return None
+    for value in np.asarray(values, dtype=object).ravel():
+        if isinstance(value, float) and value.is_integer():
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{label} must hold integers, got {value!r}")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
-class EdgeBatch:
+class EdgeBatch(Record):
     """One atomic unit of graph change.
 
     Attributes
@@ -85,6 +98,10 @@ class EdgeBatch:
     deletions: np.ndarray = field(default_factory=lambda: np.empty((0, 2), np.int64))
     new_vertices: int = 0
     timestamp: float = 0.0
+
+    family = "EdgeBatch"
+    schemas = (BATCH_SCHEMA_VERSION,)
+    missing_schema = BATCH_SCHEMA_VERSION
 
     @classmethod
     def make(
@@ -131,17 +148,19 @@ class EdgeBatch:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "EdgeBatch":
-        """Rebuild from :meth:`to_dict` output; rejects unknown schemas."""
-        schema = payload.get("schema", BATCH_SCHEMA_VERSION)
-        if schema != BATCH_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported EdgeBatch schema {schema!r}; "
-                f"supported: {BATCH_SCHEMA_VERSION}"
-            )
+        """Rebuild from :meth:`to_dict` output; rejects unknown schemas.
+
+        Vertex ids and ``new_vertices`` must be JSON integers (an
+        integral float such as ``2.0`` is accepted): a boolean or a
+        fractional value raises ``ValueError`` rather than being cast.
+        """
+        cls.payload_schema(payload)
         return cls.make(
-            insertions=payload.get("insert"),
-            deletions=payload.get("delete"),
-            new_vertices=int(payload.get("new_vertices", 0)),
+            insertions=_wire_integers(payload.get("insert"), "insert"),
+            deletions=_wire_integers(payload.get("delete"), "delete"),
+            new_vertices=int(
+                _wire_integers(payload.get("new_vertices", 0), "new_vertices")
+            ),
             timestamp=float(payload.get("t", 0.0)),
         )
 
@@ -177,7 +196,7 @@ def write_batches_jsonl(batches: Iterable[EdgeBatch], path: PathLike) -> None:
     """Record a batch stream as one JSON object per line (gzipped if .gz)."""
     with open_text(path, "w") as stream:
         for batch in batches:
-            stream.write(json.dumps(batch.to_dict(), sort_keys=True) + "\n")
+            stream.write(batch.to_json() + "\n")
 
 
 def read_batches_jsonl(path: PathLike) -> Iterator[EdgeBatch]:
@@ -187,14 +206,9 @@ def read_batches_jsonl(path: PathLike) -> Iterator[EdgeBatch]:
     recorder killed mid-append) is skipped with a warning, mid-file
     corruption raises with the line number.
     """
-    from repro.utils.jsonl import parse_jsonl_lines
-
-    with open_text(path, "r") as stream:
-        yield from parse_jsonl_lines(
-            stream,
-            lambda line: EdgeBatch.from_dict(json.loads(line)),
-            source=path,
-        )
+    yield from iter_jsonl(
+        path, EdgeBatch.from_json, lambda source: open_text(source, "r")
+    )
 
 
 def coalesce_batches(batches: Sequence[EdgeBatch]) -> EdgeBatch:

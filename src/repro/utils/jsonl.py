@@ -87,5 +87,7 @@ def parse_jsonl_lines(
             f"was likely killed mid-write; {failed_at - 1} earlier "
             f"line(s) were read intact",
             TruncatedJSONLWarning,
-            stacklevel=3,
+            # Blame the caller of the public reader: this generator runs
+            # under repro.utils.record.iter_jsonl, under that reader.
+            stacklevel=4,
         )

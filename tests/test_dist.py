@@ -30,7 +30,7 @@ from repro.dist import (
     resolve_executor,
 )
 from repro.dist.kernels import get_kernel, kernel, kernel_names
-from repro.dist.pool import dedupe_by_identity, object_pool, worker_object
+from repro.dist.pool import dedupe_by_identity, object_executor, worker_object
 from repro.graph.generators import gnp_random_graph, random_weighted_graph
 
 
@@ -175,9 +175,12 @@ class TestPool:
         assert len(table) == 2
         assert indices == [0, 1]
 
-    def test_object_pool_ships_table_once(self):
-        with object_pool(2, ["alpha", "beta"]) as pool:
-            assert pool.map(_lookup, [0, 1, 0]) == ["alpha", "beta", "alpha"]
+    def test_object_executor_ships_table_once(self):
+        # The test process never installs a table, so every lookup below
+        # is served by the one the initializer shipped to the worker.
+        with object_executor(2, ["alpha", "beta"]) as pool:
+            looked_up = list(pool.map(_lookup, [0, 1, 0]))
+        assert looked_up == ["alpha", "beta", "alpha"]
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,17 @@ class TestFormat:
         with pytest.raises(ValueError, match="schema"):
             read_header(tmp_path / "g")
 
+    @pytest.mark.parametrize("field", ["num_vertices", "num_edges"])
+    def test_boolean_size_rejected(self, tmp_path, field):
+        # bool is an int subclass; ``true`` must not load as a size of 1.
+        graph = small_csr()
+        save_csr(graph, tmp_path / "g")
+        header = json.loads((tmp_path / "g" / "header.json").read_text())
+        header[field] = True
+        (tmp_path / "g" / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=field):
+            read_header(tmp_path / "g")
+
     def test_length_mismatch_rejected(self, tmp_path):
         graph = small_csr()
         save_csr(graph, tmp_path / "g")

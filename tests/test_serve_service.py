@@ -147,6 +147,24 @@ def test_error_responses_do_not_kill_the_connection(scenario):
             assert reopened["existing"] is True
 
 
+def test_ingest_rejects_non_integer_batch(scenario):
+    graph, _ = scenario
+    with ServiceHarness() as harness:
+        with ServeClient(port=harness.port) as client:
+            _open(client, "alice", "mis", graph)
+            before = client.status("alice")
+            for batch in (
+                {"insert": [[0.9, 2.2]], "new_vertices": 2.5},
+                {"insert": [[0, 1]], "new_vertices": True},
+            ):
+                with pytest.raises(ServeError, match="must hold integers"):
+                    client.request(
+                        {"op": "ingest", "tenant": "alice", "batch": batch}
+                    )
+            # Nothing was queued or applied: the tenant is where it was.
+            assert client.status("alice") == before
+
+
 def test_tenant_isolation(scenario):
     graph, batches = scenario
     with ServiceHarness() as harness:

@@ -71,6 +71,52 @@ class TestEdgeBatch:
         with pytest.raises(ValueError, match="schema"):
             EdgeBatch.from_dict({"schema": 99})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"insert": [[0.9, 2.2]], "new_vertices": 2.5},
+            {"insert": [[0, 2]], "new_vertices": 2.5},
+            {"delete": [[0, 1.5]]},
+            {"insert": [[True, 2]]},
+            {"new_vertices": True},
+            {"insert": [["0", "2"]]},
+        ],
+        ids=[
+            "fractional",
+            "fractional_growth",
+            "fractional_delete",
+            "bool_id",
+            "bool_growth",
+            "text_id",
+        ],
+    )
+    def test_wire_rejects_non_integers(self, payload):
+        # A cast would load these as a different batch (0.9 -> 0, true -> 1).
+        with pytest.raises(ValueError, match="must hold integers"):
+            EdgeBatch.from_dict(payload)
+
+    def test_wire_integral_values_load_as_before(self):
+        batch = EdgeBatch.from_dict(
+            {"insert": [[2.0, 0], [0, 2]], "delete": None, "new_vertices": 3.0}
+        )
+        assert batch.insertions.tolist() == [[0, 2]]
+        assert batch.deletions.shape == (0, 2)
+        assert batch.new_vertices == 3 and type(batch.new_vertices) is int
+        wire = {"insert": [[0, 2]], "new_vertices": 3, "schema": 1}
+        assert batch.to_dict() == wire
+
+    def test_replay_rejects_non_integer_record(self, tmp_path):
+        from repro.utils.jsonl import JSONLCorruptionError
+
+        path = tmp_path / "batches.jsonl"
+        path.write_text(
+            '{"insert": [[0, 1]]}\n{"insert": [[0.9, 2.2]]}\n{"insert": [[1, 2]]}\n'
+        )
+        with pytest.raises(JSONLCorruptionError) as excinfo:
+            list(read_batches_jsonl(path))
+        assert excinfo.value.line_number == 2
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
 
 class TestEdgeKeys:
     def test_encode_decode_round_trip(self):
