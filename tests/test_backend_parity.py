@@ -27,7 +27,12 @@ from repro.api import solve
 from repro.baselines.israeli_itai import israeli_itai_matching
 from repro.baselines.luby import luby_mis
 from repro.baselines.parallel_greedy import parallel_greedy_mis
-from repro.graph.generators import gnp_random_graph, random_weighted_graph
+from repro.core.matching_mpc import mpc_fractional_matching
+from repro.graph.generators import (
+    barabasi_albert,
+    gnp_random_graph,
+    random_weighted_graph,
+)
 
 
 def _fingerprint(payload) -> str:
@@ -52,6 +57,64 @@ def _solve_fingerprint(task, backend, n, p, graph_seed, solve_seed, rng=None) ->
             "max_machine_words": report.max_machine_words,
             "total_comm_words": report.total_comm_words,
             "extras": report.extras,
+        }
+    )
+
+
+def _removal_built_graph(n, p, graph_seed):
+    """G(n, p) with every third edge (in ascending order) removed again.
+
+    Set removals leave dummy slots behind, so the neighbour sets of this
+    graph iterate differently from a freshly built graph with the same
+    edges, and differently again from their own ``Graph.copy()``.
+    """
+    graph = gnp_random_graph(n, p, seed=graph_seed)
+    for u, v in graph.edge_list()[::3]:
+        graph.remove_edge(u, v)
+    return graph
+
+
+GRAPH_FACTORIES = {
+    "ba": lambda n, attachment, graph_seed: barabasi_albert(
+        n, attachment, seed=graph_seed
+    ),
+    "removed": _removal_built_graph,
+}
+
+
+def _graph_solve_fingerprint(task, backend, factory, graph_args, solve_seed) -> str:
+    graph = GRAPH_FACTORIES[factory](*graph_args)
+    report = solve(task, graph, backend=backend, seed=solve_seed)
+    return _fingerprint(
+        {
+            "task": report.task,
+            "backend": report.backend,
+            "solution": report.solution,
+            "rounds": report.rounds,
+            "max_machine_words": report.max_machine_words,
+            "total_comm_words": report.total_comm_words,
+            "extras": report.extras,
+            "metrics": report.metrics,
+        }
+    )
+
+
+def _fractional_order_fingerprint(factory, graph_args, seed) -> str:
+    """The fractional weights *in dict order*, plus the order-sensitive sums.
+
+    ``solve`` sorts the solution, so this drives
+    :func:`mpc_fractional_matching` directly: the iteration order of
+    ``matching.weights`` on a set-based input is ``graph.edges()`` order.
+    """
+    graph = GRAPH_FACTORIES[factory](*graph_args)
+    result = mpc_fractional_matching(graph, seed=seed)
+    return _fingerprint(
+        {
+            "weights": [[u, v, x] for (u, v), x in result.matching.weights.items()],
+            "weight": result.weight,
+            "candidates": sorted(result.rounding_candidates(0.1)),
+            "cover": sorted(result.vertex_cover),
+            "rounds": result.rounds,
         }
     )
 
@@ -144,6 +207,31 @@ SOLVE_CASES = {
 }
 
 BASELINE_CASES = {
+    # Captured at commit e558a50, while the integral matching loop still
+    # ran on a set-based ``Graph.copy()`` residual and the fractional
+    # weights were a tuple-keyed dict.  The Barabasi-Albert hubs have
+    # neighbour sets large enough for ``copy()`` to lay them out anew; the
+    # removal-built graph's sets carry dummy slots.
+    "matching/mpc/ba": (
+        _graph_solve_fingerprint,
+        ("matching", "mpc", "ba", (2000, 4, 31), 41),
+    ),
+    "matching/mpc/removed": (
+        _graph_solve_fingerprint,
+        ("matching", "mpc", "removed", (300, 0.08, 32), 42),
+    ),
+    "vertex_cover/mpc/ba": (
+        _graph_solve_fingerprint,
+        ("vertex_cover", "mpc", "ba", (2000, 4, 31), 43),
+    ),
+    "fractional/mpc/weights-order": (
+        _fractional_order_fingerprint,
+        ("removed", (300, 0.08, 32), 44),
+    ),
+    "fractional/mpc/weights-order/ba": (
+        _fractional_order_fingerprint,
+        ("ba", (2000, 4, 31), 45),
+    ),
     "luby": (_luby_fingerprint, (250, 0.08, 16, 10)),
     "israeli_itai": (_israeli_itai_fingerprint, (250, 0.08, 17, 11)),
     "parallel_greedy": (_parallel_greedy_fingerprint, (250, 0.08, 18, 12)),
@@ -153,10 +241,14 @@ PINS = {
     "fractional/congested_clique": "39cafaa66fc21ef350646cceae45ed09d5e5a9c5cb0142a22a75716e764ca600",
     "fractional/mpc": "94564401bfdca5a758a92cc29c3f3a1fa9d810d4d0c178e4b684d898b427f4d7",
     "fractional/mpc/counter": "c0d016f87934d645f07bad2716f374dcc3847f38d1c7847d89743bd7c777d7c6",
+    "fractional/mpc/weights-order": "9ae408518190f33a52192c2d016be3de8076969c8cd85f4cbb5583dd06003dfa",
+    "fractional/mpc/weights-order/ba": "7279151e04ed4d09c6220a89225a6e44120e909a5175affaedfde25195507e9f",
     "israeli_itai": "47eed39d4c0274eab55fd49bc7baa038b5f9bf392daff924d51e9025e5ce019c",
     "luby": "f77e102d6259b7e96d985e94f818c0e25b6a9ab7b1558000d56a391d3e5b927c",
     "matching/mpc": "600ca0bb1111ac7914bd9cf264091ba89508ae35a31bd3c087995f1e4a10cf90",
+    "matching/mpc/ba": "40a140c1e430f6dd8926b8a64b0f4767e70e1da4aefe7195d3af80653132e5e7",
     "matching/mpc/counter": "09681fbee0b73e4746205b93327a824c0bfef2630ae7bbfb0731d4873e56ce26",
+    "matching/mpc/removed": "f032b0cdacd204e57b0ae0475ddcc244d2593dae9a272f9c0a659ecb52af4d0e",
     "matching/pregel": "2150036e7c7f24af1f32535b5a3ca2680d0009e2a49772a5e4187763b7c7a689",
     "mis/congested_clique/dense": "32e519c87499c20714a7c5f8214d66f978682d2950d2e0df6b2a18c863e232e2",
     "mis/congested_clique/sparse": "569124578f790bece8ba77369c6de5116a22127c620bbeeaee31c53680c469ef",
@@ -167,6 +259,7 @@ PINS = {
     "one_plus_eps_matching/mpc/counter": "4a321ac4ea562211bf3c44eb9b02f4db1c398a5b0cc70b939f492b6546610061",
     "parallel_greedy": "42bce1427a0a72eb377430b9c258e4606edbfeffe4487b0b15813871d92595c8",
     "vertex_cover/mpc": "27b9920807031de30e14e810c0b868ee11b183091917c764e5e7a52d10cfd90c",
+    "vertex_cover/mpc/ba": "5186c517a5b44eecf5071148f37c20b6f32f21221b4eef8ecc7efaecf8297e70",
     "vertex_cover/mpc/counter": "70d929c34dfd99519745119e9a219450f9f72e99301d503344577514ffca614d",
     "weighted_matching/mpc": "d90c9907b628da4dcd7dfc7dd16f17391464ac75b5443babedd6ba11a2990a90",
     "weighted_matching/mpc/counter": "ba1a3046a119b2ee9c453f228d6f2cff2db5e5a10cfdc763c8386d2e094ee69c",
