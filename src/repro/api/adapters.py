@@ -6,6 +6,11 @@ valid), and the registry entry translates to the façade convention.
 Backend-specific measurements (prefix phases, Lenzen volumes, supersteps)
 are preserved in ``extras`` so experiment tables lose nothing by going
 through :func:`repro.api.solve`.
+
+Every pair accepts a :class:`~repro.graph.csr.CSRGraph`.  Backends that
+walk adjacency sets receive ``as_graph(graph)`` (the identity on a
+set-based :class:`~repro.graph.graph.Graph`); the MPC matching family and
+the greedy baselines that only read edge lists take either form.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.mis_mpc import mis_mpc
 from repro.core.vertex_cover import cover_from_maximal_matching, mpc_vertex_cover
 from repro.core.weighted_matching import mpc_weighted_matching
+from repro.graph.csr import as_graph
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
 from repro.mpc.words import edge_words
@@ -109,7 +115,9 @@ def _mis_congested_clique(
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    result = congested_clique_mis(graph, seed=seed, config=config, trace=trace)
+    result = congested_clique_mis(
+        as_graph(graph), seed=seed, config=config, trace=trace
+    )
     return SolverOutput(
         solution=result.mis,
         rounds=result.rounds,
@@ -138,7 +146,7 @@ def _mis_pregel(
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    result = luby_vertex_program(graph, seed=seed)
+    result = luby_vertex_program(as_graph(graph), seed=seed)
     return SolverOutput(
         solution=result.mis,
         rounds=result.rounds,
@@ -161,7 +169,7 @@ def _mis_greedy(
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    return SolverOutput(solution=greedy_mis_sequential(graph, seed=seed))
+    return SolverOutput(solution=greedy_mis_sequential(as_graph(graph), seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +207,7 @@ def _fractional_mpc(
         governor=governor,
     )
     return SolverOutput(
-        solution=dict(result.matching.weights),
+        solution=result.matching.weights,
         rounds=result.rounds,
         max_machine_words=(
             result.peak_words if governor is not None else result.max_machine_edges
@@ -239,7 +247,7 @@ def _fractional_congested_clique(
         graph, config=config, seed=seed, trace=trace
     )
     return SolverOutput(
-        solution=dict(result.matching.weights),
+        solution=result.matching.weights,
         rounds=result.rounds,
         extras={
             "phases": result.phases,
@@ -266,14 +274,14 @@ def _fractional_central(
 ) -> SolverOutput:
     config = config or MatchingConfig()
     result = central_fractional_matching(
-        graph,
+        as_graph(graph),
         epsilon=config.epsilon,
         randomized_thresholds=True,
         seed=seed,
         trace=trace,
     )
     return SolverOutput(
-        solution=dict(result.matching.weights),
+        solution=result.matching.weights,
         extras={
             "iterations": result.iterations,
             "cover_size": len(result.vertex_cover),
@@ -343,7 +351,7 @@ def _matching_pregel(
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    result = matching_vertex_program(graph, seed=seed)
+    result = matching_vertex_program(as_graph(graph), seed=seed)
     return SolverOutput(
         solution=result.matching,
         rounds=result.rounds,
@@ -383,7 +391,7 @@ def _matching_central(
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
     return SolverOutput(
-        solution=blossom_maximum_matching(graph), extras={"exact": True}
+        solution=blossom_maximum_matching(as_graph(graph)), extras={"exact": True}
     )
 
 
@@ -446,7 +454,7 @@ def _cover_central(
 ) -> SolverOutput:
     config = config or MatchingConfig()
     result = central_fractional_matching(
-        graph,
+        as_graph(graph),
         epsilon=config.epsilon,
         randomized_thresholds=True,
         seed=seed,
@@ -506,7 +514,7 @@ def _one_plus_eps_mpc(
 ) -> SolverOutput:
     config = config or MatchingConfig()
     result = one_plus_eps_matching(
-        graph,
+        as_graph(graph),
         epsilon=config.epsilon,
         config=config,
         seed=seed,
@@ -542,6 +550,7 @@ def _one_plus_eps_greedy(
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
     config = config or MatchingConfig()
+    graph = as_graph(graph)
     start = greedy_maximal_matching(graph, seed=seed)
     k = max(1, math.ceil(1.0 / config.epsilon))
     improved = improve_matching(
@@ -572,7 +581,7 @@ def _one_plus_eps_central(
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
     return SolverOutput(
-        solution=blossom_maximum_matching(graph), extras={"exact": True}
+        solution=blossom_maximum_matching(as_graph(graph)), extras={"exact": True}
     )
 
 

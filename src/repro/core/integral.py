@@ -15,18 +15,38 @@ iterations; measured extraction is vastly better, so the loop simply runs
 until the residual fractional weight is negligible (with a safety cap).
 Following Section 4.4.5, a final small-matching cleanup handles the
 leftover polylog-size matching via the LMSV11 filtering algorithm.
+
+The loop runs on one :class:`~repro.graph.csr.CSRGraph` of the input and
+an alive-vertex mask: deleting the matched vertices clears their mask
+bits, and each pass hands ``csr.filter_edges(alive)`` to MPC-Simulation.
+The fractional weights stay flat arrays, and the rounding runs on them.
+
+The passes scan the residual's edges in one fixed order.  For a set-based
+:class:`~repro.graph.graph.Graph` input it is the edge order of
+``graph.copy()``: for every vertex in turn, the neighbours in the layout
+of a *copy* of its adjacency set.  A copy can lay a set out differently
+from the original (the input's sets may carry removal slots or have grown
+through resizes), and removing elements never reorders a set, so the
+order is captured once per solve and masked by ``alive`` on every pass.
+The total weight, the candidate loads and the rounding's proposal scan
+are order-sensitive float sums and draws, so the order is part of the
+seeded output.  A CSR input is scanned in ascending edge order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Union
+
+import numpy as np
 
 from repro.baselines.filtering import filtering_maximal_matching
 from repro.core.config import MatchingConfig
+from repro.core.fractional import FractionalMatching
 from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.rounding import round_fractional_matching
+from repro.graph.csr import CSRGraph, as_csr, as_graph, edge_ids_in_row_order
 from repro.graph.graph import Edge, Graph
 from repro.graph.properties import matching_vertices
 from repro.mpc.spec import ClusterSpec
@@ -62,7 +82,7 @@ class IntegralMatchingResult:
 
 
 def mpc_maximum_matching(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
     max_passes: Optional[int] = None,
@@ -87,8 +107,22 @@ def mpc_maximum_matching(
         # generous so the fixed point, not the cap, ends the loop.
         max_passes = max(8, 4 * int(math.log(1.0 / config.epsilon) + 1))
 
+    csr = as_csr(graph)
+    n = csr.num_vertices
+    edges = csr.edge_array()
+    eu = edges[:, 0]
+    ev = edges[:, 1]
+    edge_keys = eu * np.int64(n) + ev
+    # The residual's scan order (module docstring), as edge ids.
+    layout = (
+        np.arange(len(eu))
+        if isinstance(graph, CSRGraph)
+        else edge_ids_in_row_order(
+            csr, (set(row) for row in map(graph.neighbors_view, range(n)))
+        )
+    )
+    alive = np.ones(n, dtype=bool)
     matching: Set[Edge] = set()
-    residual = graph.copy()
     rounds = 0
     comm_words = 0
     peak_words = 0
@@ -96,6 +130,7 @@ def mpc_maximum_matching(
     empty_streak = 0
 
     for pass_index in range(max_passes):
+        residual = csr.filter_edges(alive)
         fractional = mpc_fractional_matching(
             residual,
             config=config,
@@ -107,12 +142,24 @@ def mpc_maximum_matching(
         rounds += fractional.rounds
         comm_words += fractional.total_comm_words
         peak_words = max(peak_words, fractional.peak_words)
-        candidates = fractional.rounding_candidates(config.epsilon)
-        if fractional.weight < 1.0 or not candidates:
+        # Re-lay the ascending fractional arrays out in the scan order.
+        weighted = fractional.matching
+        x = np.zeros(len(eu), dtype=np.float64)
+        has_weight = np.zeros(len(eu), dtype=bool)
+        ids = np.searchsorted(
+            edge_keys, weighted.endpoint_u * np.int64(n) + weighted.endpoint_v
+        )
+        x[ids] = weighted.x
+        has_weight[ids] = True
+        scan = layout[has_weight[layout]]
+        weights = FractionalMatching.from_arrays(residual, eu[scan], ev[scan], x[scan])
+        total_weight = weights.weight()
+        candidates = weights.heavy_vertices(1.0 - 5.0 * config.epsilon)
+        if total_weight < 1.0 or not candidates:
             break
         extracted = round_fractional_matching(
             residual,
-            fractional.matching.weights,
+            weights,
             candidates,
             seed=rng.getrandbits(64),
         )
@@ -123,7 +170,7 @@ def mpc_maximum_matching(
             "integral_pass",
             pass_index=pass_index,
             extracted=len(extracted),
-            fractional_weight=fractional.weight,
+            fractional_weight=total_weight,
         )
         if not extracted:
             empty_streak += 1
@@ -132,15 +179,14 @@ def mpc_maximum_matching(
             continue
         empty_streak = 0
         matching |= extracted
-        for v in matching_vertices(extracted):
-            residual.isolate(v)
+        alive[list(matching_vertices(extracted))] = False
 
     # Section 4.4.5: the residual optimum is now small; the LMSV11 filtering
     # maximal matching finishes it (maximal => 2-approximate on the residual).
     cleanup = filtering_maximal_matching(
-        residual,
+        as_graph(csr.filter_edges(alive)),
         words_per_machine=ClusterSpec.from_graph(
-            graph, config.memory_factor
+            csr, config.memory_factor
         ).words_per_machine,
         seed=rng.getrandbits(64),
     )

@@ -37,19 +37,32 @@ through :meth:`ThresholdOracle.crosses`, which only materializes the
 band.  Both changes are output-preserving: the RNG consumption order
 (machine assignment draws) and every freezing comparison are unchanged.
 
+The surviving set ``V'`` and the frozen set live only in boolean/int64
+masks, so the active vertices of a phase are one ``flatnonzero`` in
+ascending order.  The sha machine assignment draws one ``randrange`` per
+active vertex in that order, in bulk through
+:func:`repro.utils.rng.draw_randrange` (the same values and the same
+generator state as the scalar calls).  The freeze times are kept in the
+``freeze_at`` array and in an append-only log whose order is the
+``freeze_iteration`` dict's insertion order.
+
+The fractional weights come back as flat arrays
+(:class:`~repro.core.fractional.FractionalMatching`): ascending edge order
+for a :class:`~repro.graph.csr.CSRGraph` input, ``graph.edges()`` order
+for a set-based :class:`~repro.graph.graph.Graph`.
+
 ``config.rng == "counter"`` (the out-of-core fast path) swaps the
 per-vertex machine-assignment draws and the threshold oracle onto the
-order-free counter generator (:mod:`repro.utils.counter_rng`) and drops
-the O(n) ``surviving`` Python set in favor of the boolean mask.  Counter
-runs are deterministic per seed but not byte-identical to sha runs; the
-sha path is untouched (same draws, same order, same outputs).
+order-free counter generator (:mod:`repro.utils.counter_rng`).  Counter
+runs are deterministic per seed but not byte-identical to sha runs; both
+modes share every other line of the phase loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Set, Union
 
 import numpy as np
 
@@ -59,13 +72,13 @@ from repro.core.thresholds import ThresholdOracle
 from repro.dist.executor import DistExecutor
 from repro.dist.transport import LocalTransport
 from repro.govern.governor import governed_broadcast
-from repro.graph.csr import CSRGraph, as_csr
-from repro.graph.graph import Edge, Graph
+from repro.graph.csr import CSRGraph, as_csr, edge_ids_in_row_order
+from repro.graph.graph import Graph
 from repro.mpc.cluster import Message, MPCCluster
 from repro.mpc.spec import ClusterSpec
 from repro.mpc.words import edge_words, id_words
 from repro.utils import counter_rng
-from repro.utils.rng import SeedLike, make_rng
+from repro.utils.rng import SeedLike, draw_randrange, make_rng
 from repro.utils.trace import Trace, maybe_record
 
 # Cap on the phase count, far above the O(log log n) bound; converts a
@@ -75,6 +88,11 @@ _MAX_PHASES = 300
 # "Never froze" sentinel for the int64 freeze-time array.  Large enough to
 # lose every ``min(..., now)`` while staying far from int64 overflow.
 _NEVER = np.int64(2**62)
+
+
+def _log_rows(vertices: np.ndarray, t: int) -> np.ndarray:
+    """``(vertex, t)`` freeze-log rows for vertices that froze together."""
+    return np.column_stack((vertices, np.full(len(vertices), t, dtype=np.int64)))
 
 
 def _edge_weights(
@@ -194,7 +212,7 @@ def mpc_fractional_matching(
     n = graph.num_vertices
 
     if n == 0 or graph.num_edges == 0:
-        empty = FractionalMatching(graph=graph, weights={}, vertex_cover=set())
+        empty = FractionalMatching(graph=graph, weights={})
         return MatchingMPCResult(
             matching=empty, rounds=0, phases=0, iterations=0
         )
@@ -238,12 +256,11 @@ def mpc_fractional_matching(
 
         governor.estimator.prime(load_summary(csr))
 
-    # The paper's V'.  Counter mode keeps only the mask — a 10M-vertex
-    # Python set costs ~500 MB and O(n) hashing per phase.
-    surviving: Optional[Set[int]] = None if counter_mode else set(range(n))
+    # The paper's V' as a mask; freeze times as an array plus the
+    # ``(vertex, t)`` log in freeze order.
     surviving_mask = np.ones(n, dtype=bool)
-    freeze_iteration: Dict[int, int] = {}
     freeze_at = np.full(n, _NEVER, dtype=np.int64)
+    freeze_log: List[np.ndarray] = []
     heavy_removed: Set[int] = set()
     d = float(n)
     t = 0
@@ -262,13 +279,7 @@ def mpc_fractional_matching(
     while d > floor:
         if phases >= _MAX_PHASES:
             raise RuntimeError("MPC-Simulation exceeded the phase cap")
-        if counter_mode:
-            # freeze_at is synced with freeze_iteration at the end of every
-            # phase, so the mask form is exactly "surviving and unfrozen".
-            active_ids = np.flatnonzero(surviving_mask & (freeze_at == _NEVER))
-        else:
-            active = [v for v in surviving if v not in freeze_iteration]
-            active_ids = np.asarray(active, dtype=np.int64)
+        active_ids = np.flatnonzero(surviving_mask & (freeze_at == _NEVER))
         active_mask = np.zeros(n, dtype=bool)
         active_mask[active_ids] = True
 
@@ -304,37 +315,28 @@ def mpc_fractional_matching(
 
         # Line (d): i.i.d. random vertex partitioning; one exchange ships
         # each induced subgraph (memory validated by the substrate).  The
-        # sha draw order over ``active`` is load-bearing for
-        # reproducibility; counter mode evaluates the same partition as a
-        # pure function of (owner_key, phase, vertex) in one array pass.
-        # Under governance the draw is retried with a doubled part count
-        # when multinomial variance lands one induced subgraph over the
-        # soft budget anyway (nothing has shipped yet); the ungoverned
+        # sha draws follow the ascending order of ``active_ids`` and are
+        # load-bearing for reproducibility; counter mode evaluates the
+        # same partition as a pure function of (owner_key, phase, vertex).
+        # Either way part ``i`` is the ascending list of vertices drawn
+        # ``i``.  Under governance the draw is retried with a doubled part
+        # count when multinomial variance lands one induced subgraph over
+        # the soft budget anyway (nothing has shipped yet); the ungoverned
         # path runs the body exactly once.
         while True:
-            owner_of = np.full(n, -1, dtype=np.int64)
-            parts: List[Sequence[int]]
             if counter_mode:
                 owner_vals = counter_rng.integers(
                     owner_key, active_ids, phases, num_machines
                 )
-                owner_of[active_ids] = owner_vals
-                grouping = np.argsort(owner_vals, kind="stable")
-                sorted_ids = active_ids[grouping]
-                part_counts = np.bincount(owner_vals, minlength=num_machines)
-                bounds = np.zeros(num_machines + 1, dtype=np.int64)
-                np.cumsum(part_counts, out=bounds[1:])
-                parts = [
-                    sorted_ids[bounds[index] : bounds[index + 1]]
-                    for index in range(num_machines)
-                ]
             else:
-                owner = {v: rng.randrange(num_machines) for v in active}
-                parts = [[] for _ in range(num_machines)]
-                for v in active:
-                    parts[owner[v]].append(v)
-                if active:
-                    owner_of[active] = [owner[v] for v in active]
+                owner_vals = draw_randrange(rng, num_machines, len(active_ids))
+            owner_of = np.full(n, -1, dtype=np.int64)
+            owner_of[active_ids] = owner_vals
+            by_owner = np.argsort(owner_vals, kind="stable")
+            sorted_ids = active_ids[by_owner]
+            part_counts = np.bincount(owner_vals, minlength=num_machines)
+            bounds = np.zeros(num_machines + 1, dtype=np.int64)
+            np.cumsum(part_counts, out=bounds[1:])
 
             # Same-machine active edges, grouped by machine in one sort.
             same = owner_of[active_u] == owner_of[active_v]
@@ -367,23 +369,24 @@ def mpc_fractional_matching(
 
         # Lines (e): every machine simulates I iterations locally.  The
         # machine blocks are scattered over the executor's workers and the
-        # freeze insertions merged back in machine order.
+        # freeze insertions merged back in machine order.  A block's edges
+        # are relabelled to positions within its part.
         local_of = np.full(n, -1, dtype=np.int64)
-        tasks = []
-        for index, part in enumerate(parts):
-            if len(part) == 0:
-                continue
-            part_ids = np.asarray(part, dtype=np.int64)
-            local_of[part_ids] = np.arange(len(part_ids), dtype=np.int64)
-            lo, hi = boundaries[index], boundaries[index + 1]
-            tasks.append(
-                (
-                    part_ids,
-                    local_of[local_u[lo:hi]],
-                    local_of[local_v[lo:hi]],
-                    y_old[part_ids],
-                )
+        local_of[sorted_ids] = np.arange(len(sorted_ids), dtype=np.int64) - (
+            bounds[owner_vals[by_owner]]
+        )
+        block_u = local_of[local_u]
+        block_v = local_of[local_v]
+        y_sorted = y_old[sorted_ids]
+        tasks = [
+            (
+                sorted_ids[bounds[index] : bounds[index + 1]],
+                block_u[boundaries[index] : boundaries[index + 1]],
+                block_v[boundaries[index] : boundaries[index + 1]],
+                y_sorted[bounds[index] : bounds[index + 1]],
             )
+            for index in np.flatnonzero(part_counts).tolist()
+        ]
         results = executor.map_tasks(
             "matching.machines",
             tasks,
@@ -397,14 +400,13 @@ def mpc_fractional_matching(
             },
             phase="compressed-phases",
         )
-        for insertions in results:
-            for v, frozen_t in insertions:
-                freeze_iteration[v] = frozen_t
+        if results:
+            inserted = np.concatenate(results)
+            freeze_at[inserted[:, 0]] = inserted[:, 1]
+            freeze_log.append(inserted)
         t += iterations
         d *= (1.0 - epsilon) ** iterations
         phases += 1
-        for v, frozen_t in freeze_iteration.items():
-            freeze_at[v] = frozen_t
 
         # One broadcast distributes freeze times (Line (g) inputs), one
         # aggregation round recomputes loads and applies Lines (h)-(j).
@@ -422,8 +424,6 @@ def mpc_fractional_matching(
         over_one = np.flatnonzero(surviving_mask & (loads > 1.0))
         surviving_mask[over_one] = False
         heavy_removed.update(over_one.tolist())
-        if surviving is not None:
-            surviving.difference_update(over_one.tolist())
         if over_one.size:
             loads = vertex_loads(t)
         newly_frozen = np.flatnonzero(
@@ -431,9 +431,8 @@ def mpc_fractional_matching(
             & (freeze_at == _NEVER)
             & (loads >= 1.0 - 2.0 * epsilon)
         )
-        for v in newly_frozen.tolist():
-            freeze_iteration[v] = t
-            freeze_at[v] = t
+        freeze_at[newly_frozen] = t
+        freeze_log.append(_log_rows(newly_frozen, t))
         maybe_record(
             trace,
             "matching_phase",
@@ -442,7 +441,7 @@ def mpc_fractional_matching(
             degree_bound=d,
             machines=num_machines,
             max_machine_edges=max(local_edge_counts, default=0),
-            frozen=len(freeze_iteration),
+            frozen=int(np.count_nonzero(freeze_at != _NEVER)),
             heavy_removed=len(heavy_removed),
         )
 
@@ -454,7 +453,7 @@ def mpc_fractional_matching(
         ev=ev,
         surviving_mask=surviving_mask,
         freeze_at=freeze_at,
-        freeze_iteration=freeze_iteration,
+        freeze_log=freeze_log,
         oracle=oracle,
         cluster=cluster,
         start_iteration=t,
@@ -465,35 +464,33 @@ def mpc_fractional_matching(
         executor=executor,
     )
 
-    inside = surviving_mask[eu] & surviving_mask[ev]
-    wu = eu[inside]
-    wv = ev[inside]
+    # Emit the weights in the input's own edge order: ascending for CSR, and
+    # graph.edges() order (the adjacency-set layout) for a set-based graph.
+    # The order is part of the reproducible behavior — the total weight,
+    # the vertex loads and the Lemma 5.1 rounding all scan it.
+    order = (
+        np.arange(len(eu))
+        if isinstance(graph, CSRGraph)
+        else edge_ids_in_row_order(csr, map(graph.neighbors_view, range(n)))
+    )
+    order = order[surviving_mask[eu[order]] & surviving_mask[ev[order]]]
+    wu = eu[order]
+    wv = ev[order]
     x = _edge_weights(freeze_at, wu, wv, t, w0, growth)
-    computed: Dict[Edge, float] = {
-        (u, v): value
-        for u, v, value in zip(wu.tolist(), wv.tolist(), x.tolist())
-    }
-    # Re-emit in graph.edges() order: downstream consumers (the Lemma 5.1
-    # rounding) iterate this dict and draw randomness per edge, so the
-    # insertion order is part of the reproducible behavior.  For CSR inputs
-    # ``computed`` is already built in canonical ascending order — exactly
-    # what ``CSRGraph.edges()`` yields — so the pass is the identity and is
-    # skipped (it would cost an O(m) Python iteration per solve).
-    weights: Dict[Edge, float]
-    if isinstance(graph, CSRGraph):
-        weights = computed
-    else:
-        weights = {
-            edge: computed[edge] for edge in graph.edges() if edge in computed
-        }
+    log = (
+        np.concatenate(freeze_log)
+        if freeze_log
+        else np.empty((0, 2), dtype=np.int64)
+    )
+    freeze_iteration = dict(zip(log[:, 0].tolist(), log[:, 1].tolist()))
     cover = set(freeze_iteration) | heavy_removed
-    matching = FractionalMatching(graph=graph, weights=weights, vertex_cover=cover)
+    matching = FractionalMatching.from_arrays(graph, wu, wv, x, vertex_cover=cover)
     return MatchingMPCResult(
         matching=matching,
         rounds=cluster.rounds,
         phases=phases,
         iterations=t,
-        freeze_iteration=dict(freeze_iteration),
+        freeze_iteration=freeze_iteration,
         heavy_removed=heavy_removed,
         max_machine_edges=max(machine_edges_per_phase, default=0),
         machine_edges_per_phase=machine_edges_per_phase,
@@ -583,69 +580,13 @@ def _scatter_waves(messages: List[tuple], soft_words: int) -> List[List[tuple]]:
     return [wave for wave in waves if wave]
 
 
-def _machine_insertions(
-    part_ids: np.ndarray,
-    local_u: np.ndarray,
-    local_v: np.ndarray,
-    y_part: np.ndarray,
-    oracle: ThresholdOracle,
-    start_iteration: int,
-    iterations: int,
-    num_machines: int,
-    w0: float,
-    growth: float,
-) -> List[tuple]:
-    """One machine's local Central-Rand block, as ``(vertex, t)`` freezes.
-
-    The body of the ``matching.machines`` kernel: a worker runs it per
-    machine and the driver replays the returned insertions in machine
-    order.  ``local_u``/``local_v`` are the machine's induced edges
-    relabelled to part positions; ``y_part`` is the frozen-load slice for
-    the part.
-
-    The whole part is decided per iteration through one
-    :meth:`ThresholdOracle.crosses_batch` call — local degrees live in a
-    part-relabelled array and shrink by masking dead edges, so no
-    adjacency sets are materialized.
-    """
-    insertions: List[tuple] = []
-    k = len(part_ids)
-    if k == 0:
-        return insertions
-    edge_alive = np.ones(len(local_u), dtype=bool)
-    active = np.ones(k, dtype=bool)
-    degree = np.bincount(local_u, minlength=k) + np.bincount(
-        local_v, minlength=k
-    )
-    for step in range(iterations):
-        act = np.flatnonzero(active)
-        if act.size == 0:
-            break
-        now = start_iteration + step
-        w_t = w0 * growth**now
-        # Same association as the scalar path: (m * deg) * w_t + y_old.
-        estimates = num_machines * degree[act] * w_t + y_part[act]
-        frozen = oracle.crosses_batch(part_ids[act], now, estimates)
-        if not frozen.any():
-            continue  # nothing froze: degrees are unchanged too
-        newly = act[frozen]
-        for v in part_ids[newly].tolist():
-            insertions.append((v, now))
-        active[newly] = False
-        edge_alive &= active[local_u] & active[local_v]
-        degree = np.bincount(local_u[edge_alive], minlength=k) + np.bincount(
-            local_v[edge_alive], minlength=k
-        )
-    return insertions
-
-
 def _direct_central_rand(
     csr: CSRGraph,
     eu: np.ndarray,
     ev: np.ndarray,
     surviving_mask: np.ndarray,
     freeze_at: np.ndarray,
-    freeze_iteration: Dict[int, int],
+    freeze_log: List[np.ndarray],
     oracle: ThresholdOracle,
     cluster: MPCCluster,
     start_iteration: int,
@@ -740,8 +681,7 @@ def _direct_central_rand(
                 )
             prev = np.concatenate([newly for newly, _ in results])
             freeze_at[prev] = t
-            for v in prev.tolist():
-                freeze_iteration[v] = t
+            freeze_log.append(_log_rows(prev, t))
             t += 1
             steps += 1
             cluster.charge_rounds(1, "matching: direct Central-Rand iteration")

@@ -15,19 +15,28 @@ least ``|C~| / 50`` with probability ``1 - 2 exp(-|C~|/5000)``; in practice
 the constant is far better (the E6 experiment measures it).  Every vertex
 decides from its own neighborhood only, so the procedure is a single MPC
 round.
+
+The implementation works on the flat edge arrays of a
+:class:`~repro.core.fractional.FractionalMatching`: one bulk draw gives
+every candidate its roll, and the proposal scan advances all candidates
+together, one incident-edge position per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Set, Union
 
-from repro.graph.graph import Edge, Graph, canonical_edge
-from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import require
+import numpy as np
+
+from repro.core.fractional import FractionalMatching
+from repro.graph.graph import Edge
+from repro.utils.rng import SeedLike, draw_random, make_rng
 
 # The paper's dampening constant: proposals fire with probability x_e / 10.
 PROPOSAL_DAMPENING = 10.0
+
+WeightsLike = Union[FractionalMatching, Mapping[Edge, float]]
 
 
 @dataclass(frozen=True)
@@ -40,8 +49,8 @@ class RoundingOutcome:
 
 
 def round_fractional_matching(
-    graph: Graph,
-    weights: Mapping[Edge, float],
+    graph,
+    weights: WeightsLike,
     candidates: Iterable[int],
     seed: SeedLike = None,
 ) -> Set[Edge]:
@@ -54,61 +63,71 @@ def round_fractional_matching(
 
 
 def round_fractional_matching_detailed(
-    graph: Graph,
-    weights: Mapping[Edge, float],
+    graph,
+    weights: WeightsLike,
     candidates: Iterable[int],
     seed: SeedLike = None,
 ) -> RoundingOutcome:
-    """As :func:`round_fractional_matching` but with process statistics."""
+    """As :func:`round_fractional_matching` but with process statistics.
+
+    ``weights`` is a :class:`FractionalMatching` or an edge-to-weight
+    mapping; its edge order is the order in which every candidate scans
+    its incident edges.  The candidates draw one ``rng.random()`` each, in
+    ascending vertex order — also those with no positive incident edge —
+    and candidate ``v`` proposes the first incident ``u`` (in edge order)
+    whose running sum of ``x_{uv}/10`` exceeds its draw.  The running sums
+    are built position by position, so each is the same sequence of float
+    additions as a sequential scan.
+    """
     rng = make_rng(seed)
-    candidate_list = sorted(set(candidates))
-    incident: Dict[int, List[Tuple[int, float]]] = {v: [] for v in candidate_list}
-    candidate_set = set(candidate_list)
-    for (u, v), x in weights.items():
-        if x <= 0.0:
-            continue
-        if u in candidate_set:
-            incident[u].append((v, x))
-        if v in candidate_set:
-            incident[v].append((u, x))
+    if not isinstance(weights, FractionalMatching):
+        weights = FractionalMatching(graph, weights)
+    cand = np.unique(np.fromiter(candidates, dtype=np.int64))
+    rolls = draw_random(rng, len(cand))
+    positive = weights.x > 0.0
+    size = len(weights.x)
+    # Every positive edge twice, (owner, other) = (u, v) then (v, u), in
+    # edge order; keep the rows owned by a candidate and group them by
+    # owner, stably, so each group lists its incident edges in edge order.
+    owner = np.empty(2 * size, dtype=np.int64)
+    other = np.empty(2 * size, dtype=np.int64)
+    owner[0::2] = other[1::2] = weights.endpoint_u
+    owner[1::2] = other[0::2] = weights.endpoint_v
+    share = np.repeat(weights.x / PROPOSAL_DAMPENING, 2)
+    keep = np.repeat(positive, 2) & np.isin(owner, cand)
+    owner, other, share = owner[keep], other[keep], share[keep]
+    grouping = np.argsort(owner, kind="stable")
+    owner, other, share = owner[grouping], other[grouping], share[grouping]
+    first = np.searchsorted(owner, cand, side="left")
+    stop = np.searchsorted(owner, cand, side="right")
 
-    proposed: Set[Edge] = set()
-    touch_count: Dict[int, int] = {}
-    for v in candidate_list:
-        choice = _draw_proposal(incident[v], rng)
-        if choice is None:
-            continue
-        edge = canonical_edge(v, choice)
-        if edge in proposed:
-            continue  # u and v proposed the same edge; count it once
-        proposed.add(edge)
+    choice = np.full(len(cand), -1, dtype=np.int64)
+    cumulative = np.zeros(len(cand), dtype=np.float64)
+    undecided = np.flatnonzero(stop > first)
+    rank = 0
+    while undecided.size:
+        row = first[undecided] + rank
+        cumulative[undecided] += share[row]
+        hit = rolls[undecided] < cumulative[undecided]
+        choice[undecided[hit]] = other[row[hit]]
+        undecided = undecided[~hit & (row + 1 < stop[undecided])]
+        rank += 1
+
+    proposing = choice >= 0
+    lo = np.minimum(cand[proposing], choice[proposing]).tolist()
+    hi = np.maximum(cand[proposing], choice[proposing]).tolist()
+    # Built in candidate order; when u and v proposed the same edge it is
+    # counted once.
+    proposed: Set[Edge] = set(zip(lo, hi))
+    touch: Dict[int, int] = {}
+    for edge in proposed:
         for endpoint in edge:
-            touch_count[endpoint] = touch_count.get(endpoint, 0) + 1
-
+            touch[endpoint] = touch.get(endpoint, 0) + 1
     good: Set[Edge] = {
-        edge
-        for edge in proposed
-        if touch_count[edge[0]] == 1 and touch_count[edge[1]] == 1
+        edge for edge in proposed if touch[edge[0]] == 1 and touch[edge[1]] == 1
     }
     return RoundingOutcome(
         matching=good,
         proposals=len(proposed),
         collisions=len(proposed) - len(good),
     )
-
-
-def _draw_proposal(
-    incident: List[Tuple[int, float]], rng
-) -> Optional[int]:
-    """Sample ``X_v``: neighbor ``u`` w.p. ``x_{uv}/10``, else ``None``.
-
-    The incident weights sum to at most 1, so the null probability is at
-    least ``1 - 1/10``.
-    """
-    roll = rng.random()
-    cumulative = 0.0
-    for u, x in incident:
-        cumulative += x / PROPOSAL_DAMPENING
-        if roll < cumulative:
-            return u
-    return None

@@ -8,9 +8,10 @@ free of code objects.
 
 The ``matching.*`` kernels are the only implementation of the two
 machine-parallel phases of MPC-Simulation (Lemma 4.2): the compressed
-per-machine Central-Rand blocks (``matching.machines``, wrapping
-:func:`repro.core.matching_mpc._machine_insertions`) and the Line (4)
-direct simulation (``matching.direct_init`` / ``matching.direct_step``).
+per-machine Central-Rand blocks (``matching.machines``, which advances
+every machine block of its chunk together, one vectorized step per
+iteration) and the Line (4) direct simulation (``matching.direct_init`` /
+``matching.direct_step``).
 :func:`repro.core.matching_mpc.mpc_fractional_matching` always runs
 them through a :class:`~repro.dist.executor.DistExecutor` — in process
 on one inline worker by default, or on a worker pool with
@@ -164,34 +165,80 @@ def _counter(ctx, payload: Any) -> int:
 
 
 @kernel("matching.machines")
-def _matching_machines(ctx, payload: Any) -> List[List[Tuple[int, int]]]:
+def _matching_machines(ctx, payload: Any) -> List[np.ndarray]:
     """Run this worker's chunk of per-machine local Central-Rand blocks.
 
     ``payload["tasks"]`` is a list of ``(part_ids, local_u, local_v,
-    y_part)`` machine inputs; ``payload["shared"]`` carries the oracle and
-    the phase constants.  Returns one freeze-insertion list per task, in
-    task order — the driver replays them machine by machine, so the
-    merged ``freeze_iteration`` does not depend on the chunking.
-    """
-    from repro.core.matching_mpc import _machine_insertions
+    y_part)`` machine inputs: a part's vertices, its induced edges
+    relabelled to positions in the part, and its frozen loads ``y_old``.
+    ``payload["shared"]`` carries the oracle and the phase constants.
 
+    The blocks never interact, and a threshold is a pure function of
+    ``(vertex, iteration)``, so all of them advance together: the parts
+    are laid end to end, and each iteration decides every active vertex
+    of the chunk through one :meth:`ThresholdOracle.crosses_batch` call.
+    Per vertex this is the same sequence of estimates and comparisons as
+    a block simulated alone: local degrees shrink by masking dead edges
+    (no adjacency sets), and the estimate keeps the association
+    ``(m * deg) * w_t + y_old``.
+
+    Returns one ``(k, 2)`` array of ``(vertex, t)`` freezes per task, in
+    task order and, within a task, by iteration and then part position —
+    the driver appends them machine by machine, so the merged freeze log
+    does not depend on the chunking.
+    """
     shared = payload["shared"]
     oracle = shared["oracle"]
-    return [
-        _machine_insertions(
-            part_ids=part_ids,
-            local_u=local_u,
-            local_v=local_v,
-            y_part=y_part,
-            oracle=oracle,
-            start_iteration=shared["start"],
-            iterations=shared["iterations"],
-            num_machines=shared["machines"],
-            w0=shared["w0"],
-            growth=shared["growth"],
+    tasks = payload["tasks"]
+    sizes = np.array([len(part_ids) for part_ids, _, _, _ in tasks], dtype=np.int64)
+    offsets = np.zeros(len(tasks) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    k = int(offsets[-1])
+    if k == 0:
+        return [np.empty((0, 2), dtype=np.int64) for _ in tasks]
+    vertex = np.concatenate([part_ids for part_ids, _, _, _ in tasks])
+    edge_u = np.concatenate(
+        [u + offsets[i] for i, (_, u, _, _) in enumerate(tasks)]
+    ).astype(np.int64, copy=False)
+    edge_v = np.concatenate(
+        [v + offsets[i] for i, (_, _, v, _) in enumerate(tasks)]
+    ).astype(np.int64, copy=False)
+    y_old = np.concatenate([y_part for _, _, _, y_part in tasks])
+
+    start = shared["start"]
+    machines = shared["machines"]
+    w0 = shared["w0"]
+    growth = shared["growth"]
+    active = np.ones(k, dtype=bool)
+    edge_alive = np.ones(len(edge_u), dtype=bool)
+    degree = np.bincount(edge_u, minlength=k) + np.bincount(edge_v, minlength=k)
+    frozen_at = np.full(k, -1, dtype=np.int64)
+    for step in range(shared["iterations"]):
+        act = np.flatnonzero(active)
+        if act.size == 0:
+            break
+        now = start + step
+        w_t = w0 * growth**now
+        estimates = machines * degree[act] * w_t + y_old[act]
+        frozen = oracle.crosses_batch(vertex[act], now, estimates)
+        if not frozen.any():
+            continue  # nothing froze: degrees are unchanged too
+        newly = act[frozen]
+        frozen_at[newly] = now
+        active[newly] = False
+        edge_alive &= active[edge_u] & active[edge_v]
+        degree = np.bincount(edge_u[edge_alive], minlength=k) + np.bincount(
+            edge_v[edge_alive], minlength=k
         )
-        for part_ids, local_u, local_v, y_part in payload["tasks"]
-    ]
+
+    hits = np.flatnonzero(frozen_at >= 0)
+    task_of = np.repeat(np.arange(len(tasks)), sizes)[hits]
+    # Positions are already ascending within each task: order by task,
+    # then freeze iteration, then position.
+    hits = hits[np.lexsort((frozen_at[hits], task_of))]
+    rows = np.column_stack((vertex[hits], frozen_at[hits]))
+    splits = np.cumsum(np.bincount(task_of, minlength=len(tasks)))[:-1]
+    return np.split(rows, splits)
 
 
 # ---------------------------------------------------------------------------

@@ -481,6 +481,32 @@ def gather_rows(
     return flat[starts[row_of_slot] + offsets]
 
 
+def edge_ids_in_row_order(csr: CSRGraph, rows: Iterable[Iterable[int]]) -> np.ndarray:
+    """Positions in ``csr.edge_array()`` of its edges, in ``rows`` order.
+
+    ``rows`` yields the neighbours of vertex ``0, 1, ...`` of the same
+    graph, in any order within a row; each edge is taken once, at the row
+    of its smaller endpoint.  With the adjacency sets of a
+    :class:`~repro.graph.graph.Graph` this is the order of
+    ``graph.edges()``, read without a per-edge Python loop: the rows are
+    drained through an ``array('q')`` buffer like :meth:`CSRGraph.from_graph`.
+    """
+    n = csr.num_vertices
+    buffer = array("q")
+    degrees: List[int] = []
+    for row in rows:
+        buffer.extend(row)
+        degrees.append(len(row))
+    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    dst = np.frombuffer(buffer, dtype=np.int64) if len(buffer) else src[:0]
+    forward = src < dst
+    edges = csr.edge_array()
+    return np.searchsorted(
+        edges[:, 0] * np.int64(n) + edges[:, 1],
+        src[forward] * np.int64(n) + dst[forward],
+    )
+
+
 def as_csr(graph: Union[Graph, CSRGraph]) -> CSRGraph:
     """``graph`` as a :class:`CSRGraph` (identity when already CSR)."""
     if isinstance(graph, CSRGraph):

@@ -142,6 +142,65 @@ class RngStream:
         return out
 
 
+# -- exact-stream bulk draws ---------------------------------------------------
+#
+# CPython's ``randrange(k)`` is rejection sampling over ``getrandbits(b)``
+# with ``b = k.bit_length()``, and ``getrandbits(b)`` for ``b <= 32`` is one
+# 32-bit Mersenne-Twister word shifted right by ``32 - b``; wider requests
+# take whole words, least significant first, and shift only the last one.
+# ``random()`` takes two words ``a, b`` and returns
+# ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.  ``getrandbits(32 * w)``
+# returns the next ``w`` words unshifted, in generation order from the
+# least significant end, so both draws can be replayed from one bulk
+# request and NumPy arithmetic.  The helpers below return exactly the
+# values of the scalar calls and leave the generator in exactly the same
+# state.
+
+
+def _next_words(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words of ``rng``'s stream, as ``uint64``."""
+    raw = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return np.frombuffer(raw, dtype="<u4").astype(np.uint64)
+
+
+def draw_randrange(rng: random.Random, k: int, count: int) -> np.ndarray:
+    """``[rng.randrange(k) for _ in range(count)]`` as an ``int64`` array.
+
+    Each round draws exactly the number of values still missing; a
+    rejected value is one the scalar loop would also have drawn and
+    discarded before its next accepted value, so the stream is never
+    over-consumed.  Supports ``1 <= k <= 2**32``.
+    """
+    if not 1 <= k <= 2**32:
+        raise ValueError(f"k must lie in [1, 2**32], got {k}")
+    bits = k.bit_length()
+    out = np.empty(count, dtype=np.int64)
+    filled = 0
+    while filled < count:
+        need = count - filled
+        if bits <= 32:
+            values = _next_words(rng, need) >> np.uint64(32 - bits)
+        else:  # k == 2**32: two words per value, the high one shifted
+            words = _next_words(rng, 2 * need)
+            values = words[0::2] | (
+                (words[1::2] >> np.uint64(64 - bits)) << np.uint64(32)
+            )
+        accepted = values[values < np.uint64(k)]
+        out[filled : filled + accepted.size] = accepted
+        filled += accepted.size
+    return out
+
+
+def draw_random(rng: random.Random, count: int) -> np.ndarray:
+    """``[rng.random() for _ in range(count)]`` as a ``float64`` array."""
+    if count == 0:
+        return np.empty(0, dtype=np.float64)
+    words = _next_words(rng, 2 * count)
+    high = (words[0::2] >> np.uint64(5)).astype(np.float64)
+    low = (words[1::2] >> np.uint64(6)).astype(np.float64)
+    return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+
+
 def random_permutation(n: int, seed: SeedLike = None) -> list:
     """A uniformly random permutation of ``range(n)``."""
     rng = make_rng(seed)

@@ -1,25 +1,34 @@
 """Scalar/dict-based reference implementations, kept as test oracles.
 
 The library runs only the vectorized forms of these substrates: the
-array-validated CONGESTED-CLIQUE router and round, and the batched Pregel
-programs.  The straightforward per-message / per-vertex versions below
-are what those forms were derived from; the parity tests in
-``tests/test_backend_parity.py`` hold the two byte-identical (same
+array-validated CONGESTED-CLIQUE router and round, the batched Pregel
+programs, and the array-based integral matching loop with its Lemma 5.1
+rounding.  The straightforward per-message / per-vertex / per-edge
+versions below are what those forms were derived from; the parity tests
+in ``tests/test_backend_parity.py`` hold the two byte-identical (same
 accept/reject decisions, same outputs, same round and word accounting,
-same ``MemoryExceededError`` text).
+same ``MemoryExceededError`` text, same generator state afterwards).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+import math
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from repro.baselines.filtering import filtering_maximal_matching
 from repro.congested_clique.model import IDS_PER_MESSAGE, CongestedClique
 from repro.congested_clique.routing import LENZEN_ROUND_COST
-from repro.graph.graph import Graph, canonical_edge
+from repro.core.config import MatchingConfig
+from repro.core.integral import IntegralMatchingResult
+from repro.core.matching_mpc import mpc_fractional_matching
+from repro.core.rounding import PROPOSAL_DAMPENING, RoundingOutcome
+from repro.graph.graph import Edge, Graph, canonical_edge
+from repro.graph.properties import matching_vertices
+from repro.mpc.spec import ClusterSpec
 from repro.mpc.engine import PregelEngine, VertexContext
 from repro.mpc.errors import ProtocolError
 from repro.mpc.programs import DistributedMatchingResult, DistributedMISResult
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, make_rng
 
 # ---------------------------------------------------------------------------
 # CONGESTED-CLIQUE: dict-based routing and bandwidth validation
@@ -233,4 +242,137 @@ def matching_per_vertex(
         rounds=outcome.rounds,
         max_machine_message_words=outcome.max_machine_message_words,
         total_message_words=outcome.total_message_words,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Integral matching: dict-based rounding and the Graph-residual loop
+# ---------------------------------------------------------------------------
+
+
+def round_fractional_matching_dicts(
+    graph: Graph,
+    weights: Mapping[Edge, float],
+    candidates: Iterable[int],
+    seed: SeedLike = None,
+) -> RoundingOutcome:
+    """Lemma 5.1 rounding over a tuple-keyed weight dict.
+
+    Oracle of :func:`repro.core.rounding.round_fractional_matching_detailed`.
+    """
+    rng = make_rng(seed)
+    candidate_list = sorted(set(candidates))
+    incident: Dict[int, List[Tuple[int, float]]] = {v: [] for v in candidate_list}
+    candidate_set = set(candidate_list)
+    for (u, v), x in weights.items():
+        if x <= 0.0:
+            continue
+        if u in candidate_set:
+            incident[u].append((v, x))
+        if v in candidate_set:
+            incident[v].append((u, x))
+
+    proposed: Set[Edge] = set()
+    touch_count: Dict[int, int] = {}
+    for v in candidate_list:
+        roll = rng.random()
+        cumulative = 0.0
+        choice = None
+        for u, x in incident[v]:
+            cumulative += x / PROPOSAL_DAMPENING
+            if roll < cumulative:
+                choice = u
+                break
+        if choice is None:
+            continue
+        edge = canonical_edge(v, choice)
+        if edge in proposed:
+            continue  # u and v proposed the same edge; count it once
+        proposed.add(edge)
+        for endpoint in edge:
+            touch_count[endpoint] = touch_count.get(endpoint, 0) + 1
+
+    good: Set[Edge] = {
+        edge
+        for edge in proposed
+        if touch_count[edge[0]] == 1 and touch_count[edge[1]] == 1
+    }
+    return RoundingOutcome(
+        matching=good,
+        proposals=len(proposed),
+        collisions=len(proposed) - len(good),
+    )
+
+
+def mpc_maximum_matching_on_graph(
+    graph: Graph,
+    config: Optional[MatchingConfig] = None,
+    seed: SeedLike = None,
+    max_passes: Optional[int] = None,
+) -> IntegralMatchingResult:
+    """Theorem 1.2's pass loop on a set-based ``Graph.copy()`` residual.
+
+    Every pass isolates the matched vertices in the copy, runs
+    MPC-Simulation on the residual ``Graph`` (whose weights dict comes
+    back in the residual's ``edges()`` order) and rounds that dict.
+    Oracle of :func:`repro.core.integral.mpc_maximum_matching`.
+    """
+    config = config or MatchingConfig()
+    rng = make_rng(seed)
+    if max_passes is None:
+        max_passes = max(8, 4 * int(math.log(1.0 / config.epsilon) + 1))
+
+    matching: Set[Edge] = set()
+    residual = graph.copy()
+    rounds = 0
+    comm_words = 0
+    peak_words = 0
+    per_pass: List[int] = []
+    empty_streak = 0
+
+    for _ in range(max_passes):
+        fractional = mpc_fractional_matching(
+            residual, config=config, seed=rng.getrandbits(64)
+        )
+        rounds += fractional.rounds
+        comm_words += fractional.total_comm_words
+        peak_words = max(peak_words, fractional.peak_words)
+        candidates = fractional.rounding_candidates(config.epsilon)
+        if fractional.weight < 1.0 or not candidates:
+            break
+        extracted = round_fractional_matching_dicts(
+            residual,
+            fractional.matching.weights,
+            candidates,
+            seed=rng.getrandbits(64),
+        ).matching
+        rounds += 1
+        per_pass.append(len(extracted))
+        if not extracted:
+            empty_streak += 1
+            if empty_streak >= 2:
+                break
+            continue
+        empty_streak = 0
+        matching |= extracted
+        for v in matching_vertices(extracted):
+            residual.isolate(v)
+
+    cleanup = filtering_maximal_matching(
+        residual,
+        words_per_machine=ClusterSpec.from_graph(
+            graph, config.memory_factor
+        ).words_per_machine,
+        seed=rng.getrandbits(64),
+    )
+    matching |= cleanup.matching
+    rounds += cleanup.rounds
+    return IntegralMatchingResult(
+        matching=matching,
+        rounds=rounds,
+        passes=len(per_pass),
+        per_pass_sizes=per_pass,
+        cleanup_edges=len(cleanup.matching),
+        total_comm_words=comm_words,
+        peak_words=peak_words,
     )

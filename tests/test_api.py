@@ -29,6 +29,7 @@ from repro.api.batch import RunSpec
 from repro.api.registry import SolverOutput
 from repro.api.__main__ import main as cli_main, parse_graph_spec
 from repro.core.config import MatchingConfig, MISConfig
+from repro.graph.csr import as_csr
 from repro.graph.generators import (
     cycle_graph,
     gnp_random_graph,
@@ -139,6 +140,16 @@ class TestCrossBackendConsistency:
         report = solve(task, graph, backend=backend, seed=seed)
         assert report.valid
         assert report.seed == seed
+
+    @pytest.mark.parametrize(
+        "task,backend", PAIRS, ids=[f"{t}-{b}" for t, b in PAIRS]
+    )
+    def test_every_pair_valid_on_csr_input(self, task, backend):
+        """``GraphLike`` admits a CSRGraph; every pair must accept one."""
+        graph = gnp_random_graph(60, 0.1, seed=19)
+        report = solve(task, as_csr(graph), backend=backend, seed=2)
+        assert report.valid, f"{task}/{backend} invalid on CSR input"
+        _check_ground_truth(task, graph, report)
 
     def test_same_seed_same_solution(self):
         graph = gnp_random_graph(50, 0.1, seed=3)

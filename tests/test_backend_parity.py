@@ -12,8 +12,10 @@ only when an *intentional* behavior change lands (and say so in the PR).
 
 The module also property-tests the array-based substrate validation
 (Lenzen routing loads, clique bandwidth), the batched SHA-threshold
-helpers, and the batched Pregel programs against their scalar/dict-based
-references (the oracles in ``tests/reference.py``).
+helpers, the exact-stream bulk ``randrange``/``random`` draws, the batched
+Pregel programs, and the array-based integral matching loop and rounding
+against their scalar/dict-based references (the oracles in
+``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -501,6 +503,106 @@ def test_from_graph_mask_matches_filter_edges():
     assert CSRGraph.from_graph(graph, mask=np.flatnonzero(rng_mask)) == (
         csr.filter_edges(rng_mask)
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact-stream bulk draws vs the scalar Random methods
+# ---------------------------------------------------------------------------
+
+import random
+
+from repro.utils.rng import draw_random, draw_randrange
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    k=st.one_of(
+        st.integers(min_value=1, max_value=2**32),
+        st.sampled_from([1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32]),
+    ),
+    count=st.integers(min_value=0, max_value=5000),
+)
+def test_draw_randrange_is_the_scalar_stream(seed, k, count):
+    bulk = random.Random(seed)
+    scalar = random.Random(seed)
+    values = draw_randrange(bulk, k, count)
+    assert values.dtype == np.int64
+    assert values.tolist() == [scalar.randrange(k) for _ in range(count)]
+    assert bulk.getstate() == scalar.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    count=st.integers(min_value=0, max_value=5000),
+)
+def test_draw_random_is_the_scalar_stream(seed, count):
+    bulk = random.Random(seed)
+    scalar = random.Random(seed)
+    assert draw_random(bulk, count).tolist() == [
+        scalar.random() for _ in range(count)
+    ]
+    assert bulk.getstate() == scalar.getstate()
+
+
+@pytest.mark.parametrize("k", [0, -1, 2**32 + 1])
+def test_draw_randrange_rejects_out_of_range_k(k):
+    with pytest.raises(ValueError):
+        draw_randrange(random.Random(0), k, 1)
+
+
+# ---------------------------------------------------------------------------
+# Array-based integral matching vs the dict / Graph-residual oracles
+# ---------------------------------------------------------------------------
+
+from repro.core.integral import mpc_maximum_matching
+from repro.core.rounding import round_fractional_matching_detailed
+from tests.reference import (
+    mpc_maximum_matching_on_graph,
+    round_fractional_matching_dicts,
+)
+
+ORACLE_GRAPHS = {
+    "gnp": lambda: gnp_random_graph(250, 0.06, seed=51),
+    "ba": lambda: barabasi_albert(600, 5, seed=52),
+    "removed": lambda: _removal_built_graph(250, 0.1, 53),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_GRAPHS))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_array_rounding_matches_dict_oracle(family, seed):
+    graph = ORACLE_GRAPHS[family]()
+    fractional = mpc_fractional_matching(graph, seed=seed)
+    candidates = fractional.rounding_candidates(0.1)
+    assert candidates
+    oracle_rng = random.Random(seed)
+    expected = round_fractional_matching_dicts(
+        graph, fractional.matching.weights, candidates, seed=oracle_rng
+    )
+    for weights in (fractional.matching, fractional.matching.weights):
+        rng = random.Random(seed)
+        got = round_fractional_matching_detailed(
+            graph, weights, candidates, seed=rng
+        )
+        assert got == expected
+        assert list(got.matching) == list(expected.matching)  # same set layout
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_GRAPHS))
+@pytest.mark.parametrize("seed", [3, 4])
+def test_integral_loop_matches_graph_residual_oracle(family, seed):
+    graph = ORACLE_GRAPHS[family]()
+    oracle_rng = random.Random(seed)
+    rng = random.Random(seed)
+    expected = mpc_maximum_matching_on_graph(graph, seed=oracle_rng)
+    got = mpc_maximum_matching(graph, seed=rng)
+    assert got == expected
+    assert list(got.matching) == list(expected.matching)  # same set layout
+    assert got.passes > 1
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 if __name__ == "__main__":
