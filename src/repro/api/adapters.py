@@ -10,7 +10,9 @@ through :func:`repro.api.solve`.
 Every pair accepts a :class:`~repro.graph.csr.CSRGraph`.  Backends that
 walk adjacency sets receive ``as_graph(graph)`` (the identity on a
 set-based :class:`~repro.graph.graph.Graph`); the MPC matching family and
-the greedy baselines that only read edge lists take either form.
+the greedy baselines that only read edge lists take either form.  The MPC
+adapters hand the CSR their solver ran on back in ``SolverOutput.csr``,
+so one solve converts its input once.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.mis_mpc import mis_mpc
 from repro.core.vertex_cover import cover_from_maximal_matching, mpc_vertex_cover
 from repro.core.weighted_matching import mpc_weighted_matching
-from repro.graph.csr import as_graph
+from repro.graph.csr import as_csr, as_graph
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
 from repro.mpc.words import edge_words
@@ -70,8 +72,9 @@ def _mis_mpc(
     trace: Optional[Trace] = None,
     governor=None,
 ) -> SolverOutput:
+    csr = as_csr(graph)
     result = mis_mpc(
-        graph,
+        csr,
         seed=seed,
         config=config,
         trace=trace,
@@ -96,6 +99,7 @@ def _mis_mpc(
             "shipped_edges_per_phase": list(result.shipped_edges_per_phase),
             "luby_rounds_simulated": result.luby_rounds_simulated,
         },
+        csr=csr,
     )
 
 
@@ -224,6 +228,7 @@ def _fractional_mpc(
             # discounts (see repro.verify.checkers.check_fractional_bands).
             "heavy_removed": len(result.heavy_removed),
         },
+        csr=result.csr,
     )
 
 
@@ -333,6 +338,7 @@ def _matching_mpc(
             "per_pass_sizes": list(result.per_pass_sizes),
             "cleanup_edges": result.cleanup_edges,
         },
+        csr=result.csr,
     )
 
 
@@ -435,6 +441,7 @@ def _cover_mpc(
         max_machine_words=result.peak_words if governor is not None else 0,
         total_comm_words=result.total_comm_words if governor is not None else 0,
         extras={"fractional_weight": result.fractional_weight},
+        csr=result.csr,
     )
 
 

@@ -261,7 +261,8 @@ def solve(
 
     solution = canonical_solution(entry.solution_kind, output.solution)
     structure = prepared.structure if isinstance(prepared, WeightedGraph) else prepared
-    metrics = _quality_metrics(entry, prepared, structure, solution)
+    checked = structure if output.csr is None else output.csr
+    metrics = _quality_metrics(entry, prepared, checked, solution)
 
     extras = dict(output.extras)
     if dist_executor is not None:
@@ -413,7 +414,12 @@ def _quality_metrics(
     structure: Union[Graph, CSRGraph],
     solution: Any,
 ) -> Dict[str, Any]:
-    """Ground-truth validity and size/weight metrics for the solution."""
+    """Ground-truth validity and size/weight metrics for the solution.
+
+    ``structure`` is what validity is checked on: the CSR the solver ran
+    on when it reports one (``SolverOutput.csr``), else the input.  The
+    independent check against the input ``Graph`` is ``verify=True``.
+    """
     metrics: Dict[str, Any] = {"size": len(solution)}
     if entry.solution_kind == VERTEX_SET:
         # CSR validators take any iterable and build a mask — skipping the

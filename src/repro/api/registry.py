@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.graph.csr import CSRGraph
+
 TASKS = (
     "mis",
     "fractional_matching",
@@ -42,7 +44,9 @@ class SolverOutput:
 
     ``solution`` stays in the solver's natural type (set of vertices, set
     of edges, or edge-weight dict); the façade canonicalizes it per the
-    entry's ``solution_kind``.
+    entry's ``solution_kind``.  ``csr`` is the CSR form of the input the
+    solver ran on, when it built one: the façade checks the solution's
+    validity on it instead of converting or walking adjacency sets again.
     """
 
     solution: Any
@@ -50,6 +54,7 @@ class SolverOutput:
     max_machine_words: int = 0
     total_comm_words: int = 0
     extras: Dict[str, Any] = field(default_factory=dict)
+    csr: Optional[CSRGraph] = None
 
 
 SolverFn = Callable[..., SolverOutput]

@@ -70,6 +70,8 @@ class IntegralMatchingResult:
         Matching edges extracted per pass (monitoring the extraction rate).
     cleanup_edges:
         Edges added by the final small-matching cleanup (Section 4.4.5).
+    csr:
+        The CSR form of the input every pass ran on.
     """
 
     matching: Set[Edge]
@@ -79,6 +81,7 @@ class IntegralMatchingResult:
     cleanup_edges: int = 0
     total_comm_words: int = 0
     peak_words: int = 0
+    csr: Optional[CSRGraph] = field(default=None, repr=False, compare=False)
 
 
 def mpc_maximum_matching(
@@ -201,4 +204,5 @@ def mpc_maximum_matching(
         cleanup_edges=len(cleanup.matching),
         total_comm_words=comm_words,
         peak_words=peak_words,
+        csr=csr,
     )

@@ -134,6 +134,9 @@ class MatchingMPCResult:
     max_machine_edges:
         Largest per-machine induced subgraph over all phases (Lemma 4.7's
         ``O(n)`` quantity).
+    csr:
+        The CSR form of the input the simulation ran on (``None`` for an
+        edgeless input, which never builds one).
     """
 
     matching: FractionalMatching
@@ -147,6 +150,7 @@ class MatchingMPCResult:
     direct_iterations: int = 0
     total_comm_words: int = 0
     peak_words: int = 0
+    csr: Optional[CSRGraph] = field(default=None, repr=False, compare=False)
 
     @property
     def vertex_cover(self) -> Set[int]:
@@ -497,6 +501,7 @@ def mpc_fractional_matching(
         direct_iterations=t - t_before_direct,
         total_comm_words=cluster.total_comm_words,
         peak_words=max(cluster.peak_words(), cluster.peak_transient_words),
+        csr=csr,
     )
 
 

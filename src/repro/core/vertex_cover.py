@@ -9,11 +9,12 @@ a cover that misses an edge is a bug, never a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Set
 
 from repro.core.config import MatchingConfig
 from repro.core.matching_mpc import mpc_fractional_matching
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.properties import is_vertex_cover
 from repro.utils.rng import SeedLike
@@ -29,6 +30,8 @@ class VertexCoverResult:
     fractional_weight: float
     total_comm_words: int = 0
     peak_words: int = 0
+    # The CSR form of the input the simulation ran on (None if edgeless).
+    csr: Optional[CSRGraph] = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -60,7 +63,7 @@ def mpc_vertex_cover(
         governor=governor,
     )
     cover = set(result.vertex_cover)
-    if not is_vertex_cover(graph, cover):
+    if not is_vertex_cover(graph if result.csr is None else result.csr, cover):
         # The paper's freezing invariant guarantees coverage at termination;
         # reaching this branch means the simulation has a bug.
         raise RuntimeError("MPC-Simulation returned a non-covering vertex set")
@@ -70,6 +73,7 @@ def mpc_vertex_cover(
         fractional_weight=result.weight,
         total_comm_words=result.total_comm_words,
         peak_words=result.peak_words,
+        csr=result.csr,
     )
 
 

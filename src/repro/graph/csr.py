@@ -29,8 +29,9 @@ both representations so call sites can stay representation-agnostic.
 
 from __future__ import annotations
 
-from array import array
+from itertools import chain
 from typing import (
+    Collection,
     Iterable,
     Iterator,
     List,
@@ -109,43 +110,32 @@ class CSRGraph:
         With ``mask``, only edges with *both* endpoints inside the mask are
         kept (labels preserved, out-of-mask vertices isolated) — i.e. the
         CSR of the residual graph, built directly from the adjacency sets
-        without materializing the full conversion first.
+        without materializing the full conversion first.  An integer
+        ``mask`` lists vertex ids and raises ``ValueError`` on any id
+        outside ``[0, n)``.
 
-        Hot-path layout: neighbor sets are drained row-by-row through an
-        ``array('q')`` buffer (C-level set iteration, no per-element Python
-        objects), and the within-row ascending order is restored with one
-        flat sort of ``row * n + neighbor`` keys instead of a two-key
-        lexsort.
+        Hot-path layout: the neighbor sets are drained by
+        :func:`drain_rows` (one C-level pass into a preallocated array, no
+        per-element Python objects), and the within-row ascending order is
+        restored with one flat sort of ``row * n + neighbor`` keys instead
+        of a two-key lexsort.
         """
         n = graph.num_vertices
-        adjacency: List = [graph.neighbors_view(v) for v in range(n)]
-        if mask is not None:
-            arr = np.asarray(mask)
-            if arr.dtype == np.bool_:
-                if len(arr) != n:
-                    raise ValueError(
-                        f"mask length {len(arr)} != num_vertices {n}"
-                    )
-                selected = arr
-            else:
-                selected = np.zeros(n, dtype=bool)
-                selected[arr.astype(np.int64, copy=False)] = True
+        adjacency: List = list(map(graph.neighbors_view, range(n)))
+        selected = vertex_mask(n, mask)
+        if selected is not None:
             keep = set(np.flatnonzero(selected).tolist())
             adjacency = [
                 neighbors & keep if selected[v] else set()
                 for v, neighbors in enumerate(adjacency)
             ]
-        degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+        degrees, flat = drain_rows(adjacency)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        buffer = array("q")
-        extend = buffer.extend
-        for neighbors in adjacency:
-            extend(neighbors)
-        if len(buffer):
+        if len(flat):
             key = np.repeat(np.arange(n, dtype=np.int64), degrees)
             key *= np.int64(n)
-            key += np.frombuffer(buffer, dtype=np.int64)
+            key += flat
             key.sort()
             indices = key % np.int64(n)
         else:
@@ -279,18 +269,7 @@ class CSRGraph:
 
     def _as_mask(self, vertices: MaskLike) -> Optional[np.ndarray]:
         """Normalize a mask argument to a boolean array (or None = all)."""
-        if vertices is None:
-            return None
-        array = np.asarray(vertices)
-        if array.dtype == np.bool_:
-            if len(array) != self._n:
-                raise ValueError(
-                    f"mask length {len(array)} != num_vertices {self._n}"
-                )
-            return array
-        mask = np.zeros(self._n, dtype=bool)
-        mask[array.astype(np.int64, copy=False)] = True
-        return mask
+        return vertex_mask(self._n, vertices)
 
     def degrees(self, mask: MaskLike = None) -> np.ndarray:
         """Degree sequence; with ``mask``, the degree sequence of ``G[mask]``.
@@ -481,7 +460,46 @@ def gather_rows(
     return flat[starts[row_of_slot] + offsets]
 
 
-def edge_ids_in_row_order(csr: CSRGraph, rows: Iterable[Iterable[int]]) -> np.ndarray:
+def vertex_mask(n: int, vertices: MaskLike) -> Optional[np.ndarray]:
+    """``vertices`` as a boolean mask over ``range(n)`` (``None`` = all).
+
+    A boolean array must have length ``n``; anything else is read as
+    vertex ids, and an id outside ``[0, n)`` raises ``ValueError`` rather
+    than wrapping around (``-1``) or escaping as an ``IndexError``.
+    """
+    if vertices is None:
+        return None
+    array = np.asarray(vertices)
+    if array.dtype == np.bool_:
+        if len(array) != n:
+            raise ValueError(f"mask length {len(array)} != num_vertices {n}")
+        return array
+    ids = array.astype(np.int64, copy=False)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"mask lists a vertex id outside [0, {n})")
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
+def drain_rows(rows: Iterable[Collection[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lengths, items)`` of ``rows``: row sizes and their concatenation.
+
+    Items keep each row's own iteration order (for a ``set``, its hash
+    layout), rows follow one another in ``rows`` order.  The items are
+    read by one C-level pass (``itertools.chain`` into ``np.fromiter``)
+    into an array preallocated from the row lengths, so no Python int
+    object is kept per item.
+    """
+    rows = rows if isinstance(rows, list) else list(rows)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    items = np.fromiter(
+        chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum())
+    )
+    return lengths, items
+
+
+def edge_ids_in_row_order(csr: CSRGraph, rows: Iterable[Collection[int]]) -> np.ndarray:
     """Positions in ``csr.edge_array()`` of its edges, in ``rows`` order.
 
     ``rows`` yields the neighbours of vertex ``0, 1, ...`` of the same
@@ -489,16 +507,11 @@ def edge_ids_in_row_order(csr: CSRGraph, rows: Iterable[Iterable[int]]) -> np.nd
     of its smaller endpoint.  With the adjacency sets of a
     :class:`~repro.graph.graph.Graph` this is the order of
     ``graph.edges()``, read without a per-edge Python loop: the rows are
-    drained through an ``array('q')`` buffer like :meth:`CSRGraph.from_graph`.
+    drained by :func:`drain_rows`, like :meth:`CSRGraph.from_graph`.
     """
     n = csr.num_vertices
-    buffer = array("q")
-    degrees: List[int] = []
-    for row in rows:
-        buffer.extend(row)
-        degrees.append(len(row))
+    degrees, dst = drain_rows(rows)
     src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    dst = np.frombuffer(buffer, dtype=np.int64) if len(buffer) else src[:0]
     forward = src < dst
     edges = csr.edge_array()
     return np.searchsorted(

@@ -14,36 +14,52 @@ n=10M counter-mode solutions be validated at all (see OUT_OF_CORE.md).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Set, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterable, Mapping, Optional, Set, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, vertex_mask
 from repro.graph.graph import Edge, Graph, canonical_edge
 
 GraphLike = Union[Graph, CSRGraph]
 
 
-def _vertex_mask(n: int, vertex_set: Iterable[int]) -> np.ndarray:
-    """Boolean membership mask over ``range(n)`` (raises if out of range)."""
+def _vertex_mask(n: int, vertex_set: Iterable[int]) -> Optional[np.ndarray]:
+    """Boolean membership mask over ``range(n)``; ``None`` if an id is not a vertex."""
     if isinstance(vertex_set, np.ndarray):
         ids = vertex_set.astype(np.int64, copy=False)
     else:
         ids = np.fromiter(vertex_set, dtype=np.int64)
-    mask = np.zeros(n, dtype=bool)
-    mask[ids] = True
-    return mask
+    try:
+        return vertex_mask(n, ids)
+    except ValueError:
+        return None
+
+
+def _all_vertices(graph: Graph, vertex_set: Set[int]) -> bool:
+    """Whether every id of ``vertex_set`` is a vertex of ``graph``."""
+    n = graph.num_vertices
+    return all(0 <= v < n for v in vertex_set)
 
 
 def is_independent_set(graph: GraphLike, vertex_set: Iterable[int]) -> bool:
-    """Whether no two vertices of ``vertex_set`` are adjacent."""
+    """Whether no two vertices of ``vertex_set`` are adjacent.
+
+    An id outside ``[0, n)`` makes the answer ``False`` on both
+    representations: it is not a vertex, so the set is not a vertex set.
+    """
     if isinstance(graph, CSRGraph):
         chosen = _vertex_mask(graph.num_vertices, vertex_set)
+        if chosen is None:
+            return False
         return not any(
             bool(np.any(chosen[src] & chosen[dst]))
             for src, dst in graph.adjacency_chunks()
         )
     chosen = set(vertex_set)
+    if not _all_vertices(graph, chosen):
+        return False
     for v in chosen:
         if any(u in chosen for u in graph.neighbors_view(v)):
             return False
@@ -59,6 +75,8 @@ def is_maximal_independent_set(
         # independence; otherwise every out-of-set vertex needs a chosen
         # neighbor (isolated unchosen vertices correctly fail).
         chosen = _vertex_mask(graph.num_vertices, vertex_set)
+        if chosen is None:
+            return False
         covered = np.zeros(graph.num_vertices, dtype=bool)
         for src, dst in graph.adjacency_chunks():
             if np.any(chosen[src] & chosen[dst]):
@@ -76,8 +94,10 @@ def is_maximal_independent_set(
     return True
 
 
-def is_matching(graph: Graph, edges: Iterable[Edge]) -> bool:
+def is_matching(graph: GraphLike, edges: Iterable[Edge]) -> bool:
     """Whether ``edges`` are graph edges and pairwise vertex-disjoint."""
+    if isinstance(graph, CSRGraph):
+        return _is_matching_csr(graph, edges)
     used: Set[int] = set()
     for u, v in edges:
         if not graph.has_edge(u, v):
@@ -87,6 +107,49 @@ def is_matching(graph: Graph, edges: Iterable[Edge]) -> bool:
         used.add(u)
         used.add(v)
     return True
+
+
+def _is_matching_csr(graph: CSRGraph, edges: Iterable[Edge]) -> bool:
+    """Array form of :func:`is_matching`: one key lookup, one endpoint count.
+
+    A repeated edge (in either orientation) and a self-loop both use a
+    vertex twice, so the ``bincount`` check rejects them with every other
+    shared endpoint.
+    """
+    n = graph.num_vertices
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+    if len(ends) == 0:
+        return True
+    if ends.min() < 0 or ends.max() >= n:
+        return False
+    if np.bincount(ends.ravel(), minlength=n).max() > 1:
+        return False
+    return _all_edges_present(
+        graph, np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+    )
+
+
+def _all_edges_present(graph: CSRGraph, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether every pair ``(lo[i], hi[i])``, ``lo < hi`` in range, is an edge.
+
+    Membership is decided by sorted-key intersection against the forward
+    (``src < dst``) slots of each adjacency chunk — each canonical edge
+    appears in exactly one chunk, so one pass marks every resolvable
+    query, and the out-of-core graph stays O(chunk) resident.
+    """
+    n = graph.num_vertices
+    query = np.sort(lo * np.int64(n) + hi)
+    found = np.zeros(len(query), dtype=bool)
+    for src, dst in graph.adjacency_chunks():
+        forward = src < dst
+        slot_keys = src[forward] * np.int64(n) + dst[forward]
+        if len(slot_keys) == 0:
+            continue
+        pos = np.searchsorted(slot_keys, query)
+        hit = pos < len(slot_keys)
+        hit[hit] = slot_keys[pos[hit]] == query[hit]
+        found |= hit
+    return bool(np.all(found))
 
 
 def is_maximal_matching(graph: Graph, edges: Iterable[Edge]) -> bool:
@@ -114,11 +177,15 @@ def is_vertex_cover(graph: GraphLike, vertex_set: Iterable[int]) -> bool:
     """Whether every edge has at least one endpoint in ``vertex_set``."""
     if isinstance(graph, CSRGraph):
         cover = _vertex_mask(graph.num_vertices, vertex_set)
+        if cover is None:
+            return False
         return not any(
             bool(np.any(~cover[src] & ~cover[dst]))
             for src, dst in graph.adjacency_chunks()
         )
     cover = set(vertex_set)
+    if not _all_vertices(graph, cover):
+        return False
     return all(u in cover or v in cover for u, v in graph.edges())
 
 
@@ -146,13 +213,7 @@ def is_valid_fractional_matching(
 def _is_valid_fractional_matching_csr(
     graph: CSRGraph, weights: Mapping[Edge, float], tolerance: float
 ) -> bool:
-    """Array form of the feasibility check, chunked over adjacency.
-
-    Edge membership is decided by sorted-key intersection against the
-    forward (``src < dst``) slots of each adjacency chunk — each
-    canonical edge appears in exactly one chunk, so one pass marks every
-    resolvable query.
-    """
+    """Array form of the feasibility check, chunked over adjacency."""
     if not weights:
         return True
     n = graph.num_vertices
@@ -169,18 +230,7 @@ def _is_valid_fractional_matching_csr(
     hi = np.maximum(eu, ev)
     if bool(np.any(lo == hi)):
         return False  # self-loops are never edges of a simple graph
-    query = np.sort(lo * np.int64(n) + hi)
-    found = np.zeros(len(query), dtype=bool)
-    for src, dst in graph.adjacency_chunks():
-        forward = src < dst
-        slot_keys = src[forward] * np.int64(n) + dst[forward]
-        if len(slot_keys) == 0:
-            continue
-        pos = np.searchsorted(slot_keys, query)
-        hit = pos < len(slot_keys)
-        hit[hit] = slot_keys[pos[hit]] == query[hit]
-        found |= hit
-    if not bool(np.all(found)):
+    if not _all_edges_present(graph, lo, hi):
         return False
     loads = np.bincount(eu, weights=x, minlength=n) + np.bincount(
         ev, weights=x, minlength=n

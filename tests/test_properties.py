@@ -9,7 +9,10 @@ perturbed one must fail.
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import path_graph
 from repro.graph.graph import Graph, canonical_edge
 from repro.graph.properties import (
     fractional_matching_weight,
@@ -220,3 +223,104 @@ class TestValidatorProperties:
         u, v = next(iter(graph.edges()))
         weights = {canonical_edge(u, v): 1.5}
         assert not is_valid_fractional_matching(graph, weights)
+
+
+def _both(graph: Graph):
+    """``graph`` in both representations, for validator parity cases."""
+    return [graph, CSRGraph.from_graph(graph)]
+
+
+class TestIdsOutsideTheGraph:
+    """An id outside ``[0, n)`` is not a vertex: every validator says False.
+
+    A raw id used as an array index would wrap around (``-1`` is vertex
+    ``n - 1``) or escape as an ``IndexError``; neither may reach a caller.
+    """
+
+    @pytest.mark.parametrize("graph", _both(path_graph(3)), ids=["graph", "csr"])
+    def test_negative_id_is_not_a_maximal_independent_set(self, graph):
+        # On CSR, -1 would alias vertex 2 and make {0, 2} look maximal.
+        assert not is_maximal_independent_set(graph, {0, -1})
+        assert not is_independent_set(graph, {0, -1})
+
+    @pytest.mark.parametrize("graph", _both(path_graph(3)), ids=["graph", "csr"])
+    def test_negative_id_is_not_a_vertex_cover(self, graph):
+        # On CSR, -2 would alias vertex 1, which covers the whole path.
+        assert not is_vertex_cover(graph, {-2})
+
+    @pytest.mark.parametrize("graph", _both(path_graph(3)), ids=["graph", "csr"])
+    def test_id_past_the_end_is_rejected_not_raised(self, graph):
+        assert not is_maximal_independent_set(graph, {0, 2, 3})
+        assert not is_independent_set(graph, {0, 7})
+        assert not is_vertex_cover(graph, {1, 3})
+
+    @pytest.mark.parametrize("graph", _both(path_graph(3)), ids=["graph", "csr"])
+    def test_cover_with_a_non_vertex_is_rejected(self, graph):
+        assert is_vertex_cover(graph, {1})
+        assert not is_vertex_cover(graph, {1, 5})
+
+    @pytest.mark.parametrize("graph", _both(path_graph(3)), ids=["graph", "csr"])
+    def test_matching_and_fractional_ids_out_of_range(self, graph):
+        assert not is_matching(graph, [(-1, 0)])
+        assert not is_matching(graph, [(2, 3)])
+        assert not is_valid_fractional_matching(graph, {(-1, 0): 0.5})
+        assert not is_valid_fractional_matching(graph, {(2, 3): 0.5})
+
+    @pytest.mark.parametrize("mask", [[-1, 1], [1, 3]])
+    def test_integer_mask_out_of_range_raises(self, mask):
+        graph = path_graph(3)
+        with pytest.raises(ValueError):
+            CSRGraph.from_graph(graph, mask=mask)
+        with pytest.raises(ValueError):
+            CSRGraph.from_graph(graph).degrees(mask)
+
+
+@st.composite
+def graphs_with_pair_lists(draw):
+    """A small graph and a list of pairs that stresses :func:`is_matching`.
+
+    Pairs are graph edges (either orientation), self-loops ``(u, u)`` and
+    arbitrary pairs over ``[-2, n + 2)``, so non-edges, repeated edges,
+    reversed pairs and out-of-range ids all occur.
+    """
+    graph = draw(dense_pair_graphs(max_vertices=12, max_edges=30))
+    n = graph.num_vertices
+    ids = st.integers(min_value=-2, max_value=n + 1)
+    pair = st.one_of(
+        st.tuples(ids, ids),
+        ids.map(lambda v: (v, v)),
+    )
+    edges = graph.edge_list()
+    if edges:
+        edge = st.sampled_from(edges)
+        pair = st.one_of(edge, edge.map(lambda e: (e[1], e[0])), pair)
+    return graph, draw(st.lists(pair, max_size=6))
+
+
+class TestMatchingParity:
+    """The CSR ``is_matching`` agrees with the set-based one on any input."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=graphs_with_pair_lists())
+    def test_csr_matches_set_based(self, case):
+        graph, pairs = case
+        assert is_matching(CSRGraph.from_graph(graph), pairs) == is_matching(
+            graph, pairs
+        )
+
+    @pytest.mark.parametrize(
+        "pairs, expected",
+        [
+            ([], True),
+            ([(0, 1), (2, 3)], True),
+            ([(1, 0), (3, 2)], True),  # reversed pairs are the same edges
+            ([(0, 1), (0, 1)], False),  # a repeated edge uses 0 twice
+            ([(0, 1), (1, 0)], False),
+            ([(0, 0)], False),
+            ([(0, 2)], False),  # a diagonal of the square is no edge
+            ([(0, 1), (1, 2)], False),
+        ],
+    )
+    def test_fixed_cases_on_both(self, square, pairs, expected):
+        for graph in _both(square):
+            assert is_matching(graph, pairs) is expected
